@@ -20,7 +20,7 @@ from .expansion import (DomainError, FourierExpansion, SiegelPoint, evaluate,
 from .fay import DegenerationData, fay_check
 from .lattices import UnsupportedLatticeError, lattice_by_id, \
     short_vector_shells
-from .schottky import first_nonzero_index, nonzero_report, verify_vanishing
+from .schottky import nonzero_report, verify_vanishing
 from .theta import default_norm_budget, theta_eval, theta_expansion
 
 EXIT_OK = 0
@@ -130,16 +130,14 @@ def cmd_schottky_verify(args, cache) -> int:
         return EXIT_OK if rep["status"] == "pass" else EXIT_FAIL
     rep = nonzero_report(args.genus, args.max_trace, cache=cache,
                          workers=args.workers)
-    first = first_nonzero_index(args.genus, args.max_trace, cache=cache,
-                                workers=args.workers)
+    nonzero = rep["nonzero_indices"]
     rep["command"] = "schottky-verify"
     # from genus 4 on the expected outcome is a nonzero difference
-    rep["status"] = "pass" if first is not None else "fail"
-    if first is not None:
-        s, v = first
-        rep["first_nonzero"] = {"S": idx.upper_triangle(s), "a": str(v)}
+    rep["status"] = "pass" if nonzero else "fail"
+    if nonzero:
+        rep["first_nonzero"] = dict(nonzero[0])
     _emit(rep)
-    return EXIT_OK if first is not None else EXIT_FAIL
+    return EXIT_OK if nonzero else EXIT_FAIL
 
 
 def cmd_eval(args, cache) -> int:

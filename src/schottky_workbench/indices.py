@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
+from functools import lru_cache
 
 
 class IndexError_(ValueError):
@@ -43,26 +43,35 @@ def validate_index(entries, require_psd: bool = True) -> tuple:
 
 
 def is_psd(entries) -> bool:
-    """Exact positive semi-definiteness over the rationals.
+    """Exact positive semi-definiteness in integer arithmetic.
 
     Symmetric Gaussian elimination with diagonal pivots: a negative pivot is
-    a witness against psd; a zero pivot forces its whole row to vanish.
+    a witness against psd; a zero pivot forces its whole row to vanish.  The
+    elimination is fraction-free, m[i][j] <- (p*m[i][j] - m[i][k]*m[k][j]) /
+    p_prev with p = m[k][k] > 0 and p_prev the previous nonzero pivot.  The
+    division is exact (Bareiss), it keeps the entries as small as minors, and
+    the trailing block stays p_prev times the rational Schur complement, so
+    signs and zero pattern, hence the verdict, are those of the rational
+    elimination.
     """
-    s = as_entries(entries)
-    g = len(s)
-    m = [[Fraction(s[i][j]) for j in range(g)] for i in range(g)]
+    m = [list(row) for row in as_entries(entries)]
+    g = len(m)
+    prev = 1
     for k in range(g):
-        if m[k][k] < 0:
+        p = m[k][k]
+        if p < 0:
             return False
-        if m[k][k] == 0:
-            if any(m[k][j] != 0 for j in range(k + 1, g)):
+        row = m[k]
+        if p == 0:
+            if any(row[j] != 0 for j in range(k + 1, g)):
                 return False
             continue
         for i in range(k + 1, g):
-            f = m[i][k] / m[k][k]
-            if f:
-                for j in range(k, g):
-                    m[i][j] -= f * m[k][j]
+            mi = m[i]
+            f = mi[k]
+            for j in range(k + 1, g):
+                mi[j] = (p * mi[j] - f * row[j]) // prev
+        prev = p
     return True
 
 
@@ -113,12 +122,15 @@ def _even_diagonals(g: int, max_trace: int):
             yield (d,) + rest
 
 
-def enumerate_indices(g: int, max_trace: int) -> list:
+@lru_cache(maxsize=None)
+def enumerate_indices(g: int, max_trace: int) -> tuple:
     """All index matrices of genus g with trace <= max_trace, sorted.
 
     Diagonals run over even tuples, off-diagonal entries over the
     Cauchy-Schwarz box, and each candidate passes the exact psd test.
     Order: (trace, diagonal, upper triangle), so the output is deterministic.
+    The result is memoized per (g, max_trace) and immutable, so every caller
+    shares one enumeration.
     """
     if g < 1:
         raise IndexError_("genus must be >= 1")
@@ -142,13 +154,7 @@ def enumerate_indices(g: int, max_trace: int) -> list:
                 out.append(s)
     out.sort(key=lambda s: (trace(s), tuple(s[p][p] for p in range(g)),
                             tuple(upper_triangle(s))))
-    return out
-
-
-def _signed_permutations(g: int):
-    for perm in itertools.permutations(range(g)):
-        for signs in itertools.product((1, -1), repeat=g):
-            yield perm, signs
+    return tuple(out)
 
 
 def transform(entries, u) -> tuple:
@@ -162,22 +168,81 @@ def transform(entries, u) -> tuple:
     )
 
 
+def _block_permutations(s):
+    """Slot orders that sort the diagonal ascending: every permutation
+    within each block of equal diagonal entries, blocks in ascending order."""
+    g = len(s)
+    order = sorted(range(g), key=lambda p: s[p][p])
+    blocks = [tuple(b) for _, b in itertools.groupby(order,
+                                                      key=lambda p: s[p][p])]
+    for parts in itertools.product(*map(itertools.permutations, blocks)):
+        yield [p for part in parts for p in part]
+
+
+def _greedy_signed_upper(s, perm) -> tuple:
+    """Lexicographically least upper triangle of the slot order `perm` over
+    all sign flips.
+
+    Positions are walked in serialization order.  A union-find with parity
+    records which slots already have a fixed relative sign: an entry between
+    linked slots is forced, and a nonzero entry between unlinked slots gets
+    the relative sign that makes it negative, after which the slots are
+    linked.
+    """
+    g = len(perm)
+    parent = list(range(g))
+    parity = [1] * g          # sign of a slot relative to its parent
+
+    def find(x):
+        sign = 1
+        while parent[x] != x:
+            sign *= parity[x]
+            x = parent[x]
+        return x, sign
+
+    out = []
+    for p in range(g):
+        row = s[perm[p]]
+        out.append(row[perm[p]])
+        for q in range(p + 1, g):
+            v = row[perm[q]]
+            if v:
+                rp, sp = find(p)
+                rq, sq = find(q)
+                v *= sp * sq
+                if rp != rq:
+                    parent[rq] = rp
+                    if v > 0:
+                        parity[rq] = -1
+                        v = -v
+            out.append(v)
+    return tuple(out)
+
+
 def canonical_signed_perm(entries) -> tuple:
     """Minimal representative of S under simultaneous permutations and sign
     flips of the tuple slots (a bounded search inside GL_g(Z)).
 
-    The key is (diagonal, upper triangle); the diagonal is thereby sorted
+    The key is (diagonal, upper triangle), minimized lexicographically over
+    all 2^g * g! signed permutations; the diagonal is thereby sorted
     ascending, which also puts the largest vector classes last for counting.
+
+    The minimum is found without visiting every signed permutation.  Signs
+    leave the diagonal alone, so the least key has the sorted diagonal, and
+    exactly the permutations within blocks of equal diagonal entries reach
+    it (at most 24 orders at genus 4 instead of 384 signed permutations).
+    For a fixed order the upper triangle is minimized over signs greedily:
+    walking the positions in serialization order, an entry between slots
+    whose relative sign is already fixed takes the same value in every
+    remaining candidate, and a nonzero entry between unlinked slots can be
+    made negative without changing any earlier position, because flipping
+    the whole component of one slot only touches entries that cross the two
+    components, and no earlier nonzero entry does.  So each greedy choice is
+    the least value the position can take given the earlier ones, which is
+    the lexicographic minimum over signs; the least of these over the block
+    orders is the brute-force minimum itself, entry for entry.
     """
     s = as_entries(entries)
     g = len(s)
-    best = None
-    for perm, signs in _signed_permutations(g):
-        cand = tuple(
-            tuple(signs[p] * signs[q] * s[perm[p]][perm[q]] for q in range(g))
-            for p in range(g)
-        )
-        key = (tuple(cand[p][p] for p in range(g)), tuple(upper_triangle(cand)))
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1]
+    best = min(_greedy_signed_upper(s, perm) for perm in _block_permutations(s))
+    return from_upper_triangle(g, best)

@@ -8,10 +8,11 @@ integer coordinate tuple in the corresponding basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from .indices import is_psd
 
 
 class LatticeError(ValueError):
@@ -74,21 +75,6 @@ def _bareiss_det(mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _is_positive_definite(mat) -> bool:
-    """Exact test via rational symmetric Gaussian elimination."""
-    n = len(mat)
-    m = [[Fraction(mat[i][j]) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        if m[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            if f:
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
-    return True
-
-
 @dataclass(frozen=True)
 class Lattice:
     """An even unimodular positive definite lattice, given by a Gram matrix."""
@@ -107,7 +93,8 @@ class Lattice:
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise LatticeError("gram matrix must be symmetric")
-        if not _is_positive_definite(g):
+        # psd with determinant 1 is positive definite
+        if not is_psd(g):
             raise LatticeError("gram matrix must be positive definite")
         if _bareiss_det(g) != 1:
             raise LatticeError("gram matrix must be unimodular")

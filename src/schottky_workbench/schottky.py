@@ -27,52 +27,13 @@ def schottky_expansion(g: int, max_trace: int, cache=None, dedup: bool = True,
     return f1 - f2
 
 
-def verify_vanishing(g: int, max_trace: int, cache=None, dedup: bool = True,
-                     workers: int = 0) -> dict:
-    """Check that every coefficient of the difference vanishes (genus <= 3).
-
-    Returns a report dict; on failure it carries the first offending index
-    and the two representation numbers that disagree.
-    """
-    if g not in (1, 2, 3):
-        raise ValueError("identical vanishing is only claimed for genus 1..3")
-    diff = schottky_expansion(g, max_trace, cache=cache, dedup=dedup,
-                              workers=workers)
-    checked = 0
-    for s in idx.enumerate_indices(g, max_trace):
-        checked += 1
-        v = diff.coefficient(s)
-        if v != 0:
-            return {
-                "genus": g,
-                "max_trace": max_trace,
-                "status": "fail",
-                "checked": checked,
-                "counterexample": {
-                    "S": idx.upper_triangle(s),
-                    "difference": str(v),
-                },
-            }
-    return {"genus": g, "max_trace": max_trace, "status": "pass",
-            "checked": checked}
-
-
-def first_nonzero_index(g: int, max_trace: int, cache=None,
-                        dedup: bool = True, workers: int = 0):
-    """First index (in enumeration order) with a nonzero difference, with its
-    exact coefficient, or None if all coefficients up to max_trace vanish."""
-    diff = schottky_expansion(g, max_trace, cache=cache, dedup=dedup,
-                              workers=workers)
-    for s in idx.enumerate_indices(g, max_trace):
-        v = diff.coefficient(s)
-        if v != 0:
-            return s, v
-    return None
-
-
 def nonzero_report(g: int, max_trace: int, cache=None, dedup: bool = True,
                    workers: int = 0) -> dict:
-    """Full scan report: status plus every nonzero coefficient in order."""
+    """The scan: builds the difference once and reports its status plus
+    every nonzero coefficient, in enumeration order.
+
+    verify_vanishing and first_nonzero_index are views of this report.
+    """
     diff = schottky_expansion(g, max_trace, cache=cache, dedup=dedup,
                               workers=workers)
     nonzero = []
@@ -89,3 +50,48 @@ def nonzero_report(g: int, max_trace: int, cache=None, dedup: bool = True,
         "checked": checked,
         "nonzero_indices": nonzero,
     }
+
+
+def _first(g: int, rep: dict):
+    """First nonzero index of a report with its (integer) coefficient."""
+    if not rep["nonzero_indices"]:
+        return None
+    first = rep["nonzero_indices"][0]
+    return idx.from_upper_triangle(g, first["S"]), int(first["a"])
+
+
+def verify_vanishing(g: int, max_trace: int, cache=None, dedup: bool = True,
+                     workers: int = 0) -> dict:
+    """Check that every coefficient of the difference vanishes (genus <= 3).
+
+    Returns a report dict; on failure it carries the first offending index
+    with its difference, and `checked` counts the indices up to and
+    including it.
+    """
+    if g not in (1, 2, 3):
+        raise ValueError("identical vanishing is only claimed for genus 1..3")
+    rep = nonzero_report(g, max_trace, cache=cache, dedup=dedup,
+                         workers=workers)
+    first = _first(g, rep)
+    if first is None:
+        return {"genus": g, "max_trace": max_trace, "status": "pass",
+                "checked": rep["checked"]}
+    s, v = first
+    return {
+        "genus": g,
+        "max_trace": max_trace,
+        "status": "fail",
+        "checked": idx.enumerate_indices(g, max_trace).index(s) + 1,
+        "counterexample": {
+            "S": idx.upper_triangle(s),
+            "difference": str(v),
+        },
+    }
+
+
+def first_nonzero_index(g: int, max_trace: int, cache=None,
+                        dedup: bool = True, workers: int = 0):
+    """First index (in enumeration order) with a nonzero difference, with its
+    exact coefficient, or None if all coefficients up to max_trace vanish."""
+    return _first(g, nonzero_report(g, max_trace, cache=cache, dedup=dedup,
+                                    workers=workers))

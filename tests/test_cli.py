@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 from conftest import load_schema
+from schottky_workbench import schottky
 from schottky_workbench.cache import ENV_CACHE_PATH
 from schottky_workbench.cli import main, parse_tau
 from schottky_workbench.expansion import SiegelPoint
@@ -69,6 +70,32 @@ def test_schottky_verify_pass(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert doc["status"] == "pass"
     jsonschema.validate(doc, load_schema("verification-report.schema.json"))
+
+
+def test_schottky_verify_genus4_below_first_nonzero(capsys, tmp_path,
+                                                    monkeypatch):
+    # F_4's first nonzero coefficient has trace 8, so a trace-4 scan finds
+    # none and the genus >= 4 verdict is a failure
+    monkeypatch.setenv(ENV_CACHE_PATH, str(tmp_path / "c.jsonl"))
+    builds = []
+    real = schottky.schottky_expansion
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(schottky, "schottky_expansion", counted)
+    for _ in range(2):
+        code, doc = run(capsys, "schottky-verify", "--genus", "4",
+                        "--max-trace", "4")
+        assert code == 1
+        assert doc["status"] == "fail"
+        assert doc["nonzero_indices"] == []
+        assert "first_nonzero" not in doc
+        assert doc["checked"] == 39
+        jsonschema.validate(doc,
+                            load_schema("verification-report.schema.json"))
+    assert len(builds) == 2          # one build per call
 
 
 def test_eval_two_paths(capsys):

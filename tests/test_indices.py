@@ -2,11 +2,15 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schottky_workbench import indices as idx
+from schottky_workbench.cache import index_key
 
 
 def _brute_indices_genus2(max_trace):
@@ -36,6 +40,7 @@ def test_enumeration_counts():
 def test_enumeration_deterministic_order():
     a = idx.enumerate_indices(2, 6)
     assert a == idx.enumerate_indices(2, 6)
+    assert isinstance(a, tuple)      # memoized and shared, so immutable
     keys = [(idx.trace(s), tuple(s[p][p] for p in range(2)),
              tuple(idx.upper_triangle(s))) for s in a]
     assert keys == sorted(keys)
@@ -47,6 +52,10 @@ def test_is_psd_exact_cases():
     assert not idx.is_psd(((2, 3), (3, 2)))
     assert idx.is_psd(((0, 0), (0, 2)))
     assert not idx.is_psd(((0, 1), (1, 2)))      # zero pivot, nonzero row
+    assert idx.is_psd(((0, 0, 0), (0, 2, 2), (0, 2, 2)))
+    # the second pivot becomes zero only after elimination
+    assert idx.is_psd(((2, 2, 1), (2, 2, 1), (1, 1, 2)))
+    assert not idx.is_psd(((2, 2, 1), (2, 2, 0), (1, 0, 2)))
 
 
 def test_validate_rejects_bad_matrices():
@@ -108,3 +117,147 @@ def test_off_diagonal_box_is_tight():
     # entries on the Cauchy-Schwarz boundary must appear
     assert ((2, 2), (2, 2)) in idx.enumerate_indices(2, 4)
     assert ((2, -2), (-2, 2)) in idx.enumerate_indices(2, 4)
+
+
+# -- oracles for the fast paths ---------------------------------------------
+
+
+def _brute_canonical(entries):
+    """Oracle: the least (diagonal, upper triangle) over all 2^g * g! signed
+    permutations, found by trying every one."""
+    s = idx.as_entries(entries)
+    g = len(s)
+    best = None
+    for perm in itertools.permutations(range(g)):
+        for signs in itertools.product((1, -1), repeat=g):
+            cand = tuple(
+                tuple(signs[p] * signs[q] * s[perm[p]][perm[q]]
+                      for q in range(g))
+                for p in range(g))
+            key = (tuple(cand[p][p] for p in range(g)),
+                   tuple(idx.upper_triangle(cand)))
+            if best is None or key < best[0]:
+                best = (key, cand)
+    return best[1]
+
+
+def _signed_permuted(s, perm, signs):
+    g = len(s)
+    return tuple(tuple(signs[p] * signs[q] * s[perm[p]][perm[q]]
+                       for q in range(g)) for p in range(g))
+
+
+def _key(s):
+    return index_key(len(s), idx.upper_triangle(s))
+
+
+def test_canonical_matches_brute_force_up_to_genus3():
+    for g in (1, 2, 3):
+        for s in idx.enumerate_indices(g, 8):
+            fast = idx.canonical_signed_perm(s)
+            assert fast == _brute_canonical(s), s
+            assert _key(fast) == _key(_brute_canonical(s))
+
+
+def test_canonical_matches_brute_force_genus4_sample():
+    for s in idx.enumerate_indices(4, 8)[::7]:
+        assert idx.canonical_signed_perm(s) == _brute_canonical(s), s
+
+
+# cache keys written by the brute-force canonicalizer; a cache file stays
+# readable only while these stay byte-identical
+FROZEN_KEYS = [
+    (((2, -1, -1, -1), (-1, 2, 0, 0), (-1, 0, 2, 0), (-1, 0, 0, 2)),
+     '{"g":4,"u":[2,-1,-1,-1,2,0,0,2,0,2]}'),
+    (((4, 1, -2), (1, 2, 1), (-2, 1, 4)), '{"g":3,"u":[2,-1,-1,4,-2,4]}'),
+    (((2, 1, 1, 1), (1, 2, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2)),
+     '{"g":4,"u":[2,-1,-1,-1,2,1,1,2,1,2]}'),
+    (((6, 3), (3, 2)), '{"g":2,"u":[2,-3,6]}'),
+]
+
+
+@pytest.mark.parametrize("s,key", FROZEN_KEYS)
+def test_canonical_cache_keys_frozen(s, key):
+    assert _key(idx.canonical_signed_perm(s)) == key
+
+
+@st.composite
+def _index_and_move(draw):
+    g = draw(st.integers(1, 4))
+    s = draw(st.sampled_from(idx.enumerate_indices(g, 8)))
+    perm = draw(st.permutations(range(g)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=g, max_size=g))
+    return s, perm, signs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_index_and_move())
+def test_canonical_invariant_under_signed_permutation(case):
+    s, perm, signs = case
+    canon = idx.canonical_signed_perm(s)
+    moved = idx.canonical_signed_perm(_signed_permuted(s, perm, signs))
+    assert moved == canon
+    assert _key(moved) == _key(canon)
+    assert idx.canonical_signed_perm(canon) == canon
+
+
+def _fraction_psd(s) -> bool:
+    """Oracle: the same elimination over the rationals."""
+    g = len(s)
+    m = [[Fraction(s[i][j]) for j in range(g)] for i in range(g)]
+    for k in range(g):
+        if m[k][k] < 0:
+            return False
+        if m[k][k] == 0:
+            if any(m[k][j] != 0 for j in range(k + 1, g)):
+                return False
+            continue
+        for i in range(k + 1, g):
+            f = m[i][k] / m[k][k]
+            if f:
+                for j in range(k, g):
+                    m[i][j] -= f * m[k][j]
+    return True
+
+
+def _random_symmetric(rng, g):
+    kind = rng.randrange(3)
+    if kind == 0:
+        # arbitrary entries, zero and negative diagonals included
+        m = [[0] * g for _ in range(g)]
+        for p in range(g):
+            m[p][p] = rng.choice((-1, 0, 0, 1, 2, 4))
+            for q in range(p + 1, g):
+                m[p][q] = m[q][p] = rng.randint(-3, 3)
+        return m
+    # Gram matrices of a few integer vectors: psd, often singular, and
+    # with zeroed slots they force zero pivots with vanishing rows
+    vecs = [[rng.randint(-2, 2) for _ in range(rng.randint(1, g))]
+            for _ in range(g)]
+    n = max(len(v) for v in vecs)
+    vecs = [v + [0] * (n - len(v)) for v in vecs]
+    for p in range(g):
+        if rng.random() < 0.2:
+            vecs[p] = [0] * n
+    m = [[sum(a * b for a, b in zip(vecs[p], vecs[q])) for q in range(g)]
+         for p in range(g)]
+    if kind == 2:
+        # perturb one entry pair: breaks psd in most cases
+        p, q = rng.randrange(g), rng.randrange(g)
+        d = rng.choice((-1, 1))
+        m[p][q] += d
+        if p != q:
+            m[q][p] += d
+    return m
+
+
+def test_integer_psd_matches_fraction_oracle():
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(3000):
+        m = _random_symmetric(rng, rng.randint(1, 5))
+        want = _fraction_psd(m)
+        assert idx.is_psd(m) == want, m
+        verdicts.add(want)
+    assert verdicts == {True, False}
+

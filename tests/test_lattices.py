@@ -117,6 +117,17 @@ def test_lattice_validation_rejects_bad_gram():
         Lattice(name="bad", rank=1, gram=((-2,),))
 
 
+def test_lattice_validation_needs_definite_gram():
+    # psd but singular: caught by the determinant after the psd test
+    with pytest.raises(LatticeError, match="unimodular"):
+        Lattice(name="bad", rank=2, gram=((2, 2), (2, 2)))
+    # even, symmetric, determinant 1, but indefinite
+    with pytest.raises(LatticeError, match="positive definite"):
+        Lattice(name="bad", rank=2, gram=((0, 1), (1, 0)))
+    with pytest.raises(LatticeError, match="positive definite"):
+        Lattice(name="bad", rank=2, gram=((2, 3), (3, 4)))
+
+
 def test_unknown_lattice_rejected():
     with pytest.raises(UnsupportedLatticeError):
         build_lattice("Leech")

@@ -6,6 +6,9 @@ the same machinery is exercised at smaller truncations.
 
 import pytest
 
+from schottky_workbench import indices as idx
+from schottky_workbench import schottky
+from schottky_workbench.expansion import FourierExpansion
 from schottky_workbench.schottky import (first_nonzero_index, nonzero_report,
                                          schottky_expansion, verify_vanishing)
 
@@ -42,3 +45,30 @@ def test_nonzero_report_zero_case():
     assert rep["status"] == "zero"
     assert rep["nonzero_indices"] == []
     assert rep["checked"] == 10
+
+
+def test_views_of_one_scan_on_a_nonzero_difference(monkeypatch):
+    # a stand-in difference with two nonzero coefficients checks that the
+    # views report what the early-exit scans did: the first offender, and
+    # `checked` counting up to it
+    order = idx.enumerate_indices(2, 4)
+    first, later = order[3], order[7]
+    fake = FourierExpansion(2, 8, 4, {first: -5, later: 7})
+    builds = []
+
+    def stand_in(*args, **kwargs):
+        builds.append(args)
+        return fake
+
+    monkeypatch.setattr(schottky, "schottky_expansion", stand_in)
+    rep = nonzero_report(2, 4)
+    assert rep["status"] == "nonzero" and rep["checked"] == len(order)
+    assert rep["nonzero_indices"] == [
+        {"S": idx.upper_triangle(first), "a": "-5"},
+        {"S": idx.upper_triangle(later), "a": "7"}]
+    assert first_nonzero_index(2, 4) == (first, -5)
+    assert verify_vanishing(2, 4) == {
+        "genus": 2, "max_trace": 4, "status": "fail", "checked": 4,
+        "counterexample": {"S": idx.upper_triangle(first),
+                           "difference": "-5"}}
+    assert len(builds) == 3
