@@ -3,7 +3,7 @@ Fourier-expansion arithmetic, the weight-8 Schottky form, and first-order
 period-matrix degenerations."""
 
 from .cache import ENGINE_VERSION, ENV_CACHE_PATH, CountCache, cache_from_env
-from .counting import CountEngine, get_engine, representation_count
+from .counting import CountEngine, representation_count
 from .expansion import (DerivativePolynomial, DomainError, EvalResult,
                         FourierExpansion, IncompatibleExpansionError,
                         LimitReport, SiegelPoint, TruncationError,
@@ -15,9 +15,8 @@ from .fay import (DegenerationData, coefficient_A, coefficient_B,
 from .indices import (border_zero_forced, canonical_signed_perm,
                       enumerate_indices, from_upper_triangle, is_psd,
                       upper_triangle, validate_index)
-from .lattices import (Lattice, LatticeError, LatticeVector,
-                       UnsupportedLatticeError, build_lattice, direct_sum,
-                       e8e8, enumerate_vectors, lattice_by_id,
+from .lattices import (Lattice, LatticeError, UnsupportedLatticeError,
+                       build_lattice, direct_sum, e8e8, lattice_by_id,
                        short_vector_shells)
 from .schottky import (first_nonzero_index, nonzero_report,
                        schottky_expansion, verify_vanishing)
@@ -29,13 +28,13 @@ __all__ = [
     "CountCache", "CountEngine", "DegenerationData", "DerivativePolynomial",
     "DomainError", "ENGINE_VERSION", "ENV_CACHE_PATH", "EvalResult",
     "FourierExpansion", "IncompatibleExpansionError", "Lattice",
-    "LatticeError", "LatticeVector", "LimitReport", "SiegelPoint",
+    "LatticeError", "LimitReport", "SiegelPoint",
     "TruncationError", "UnsupportedLatticeError", "apply_derivative",
     "border_zero_forced", "build_lattice", "cache_from_env",
     "canonical_signed_perm", "coefficient_A", "coefficient_B",
     "default_norm_budget", "derivative_identity_check", "direct_sum", "e8e8",
-    "enumerate_indices", "enumerate_vectors", "evaluate", "fay_check",
-    "first_nonzero_index", "from_upper_triangle", "get_engine", "is_psd",
+    "enumerate_indices", "evaluate", "fay_check",
+    "first_nonzero_index", "from_upper_triangle", "is_psd",
     "lattice_by_id", "nonzero_report", "period_matrix_first_order",
     "representation_count", "scaling_law_check", "schottky_expansion",
     "short_vector_shells", "siegel_limit_check", "siegel_operator",

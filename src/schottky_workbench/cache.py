@@ -20,6 +20,10 @@ except ImportError:  # non-POSIX
 
 log = logging.getLogger(__name__)
 
+# Stored records are trusted only under the version that wrote them.  Bump
+# it when the index_key serialization or the canonical key form
+# (indices.canonical_signed_perm) changes, or when a fix could change a
+# stored count; old records are then ignored, never rewritten.
 ENGINE_VERSION = "1"
 
 ENV_CACHE_PATH = "SCHOTTKY_WORKBENCH_CACHE"

@@ -100,8 +100,7 @@ def cmd_lattice_enum(args, cache) -> int:
 
 def cmd_theta_coeffs(args, cache) -> int:
     lat = _lattice(args.lattice)
-    f = theta_expansion(lat, args.genus, args.max_trace, cache=cache,
-                        workers=args.workers)
+    f = theta_expansion(lat, args.genus, args.max_trace, cache=cache)
     doc = f.to_json()
     doc["command"] = "theta-coeffs"
     doc["lattice"] = lat.name
@@ -123,13 +122,11 @@ def cmd_siegel_phi(args, cache) -> int:
 
 def cmd_schottky_verify(args, cache) -> int:
     if args.genus <= 3:
-        rep = verify_vanishing(args.genus, args.max_trace, cache=cache,
-                               workers=args.workers)
+        rep = verify_vanishing(args.genus, args.max_trace, cache=cache)
         rep["command"] = "schottky-verify"
         _emit(rep)
         return EXIT_OK if rep["status"] == "pass" else EXIT_FAIL
-    rep = nonzero_report(args.genus, args.max_trace, cache=cache,
-                         workers=args.workers)
+    rep = nonzero_report(args.genus, args.max_trace, cache=cache)
     nonzero = rep["nonzero_indices"]
     rep["command"] = "schottky-verify"
     # from genus 4 on the expected outcome is a nonzero difference
@@ -145,8 +142,7 @@ def cmd_eval(args, cache) -> int:
     point = parse_tau(args.tau, args.genus)
     budget = args.budget if args.budget is not None \
         else default_norm_budget(args.max_trace)
-    f = theta_expansion(lat, args.genus, args.max_trace, cache=cache,
-                        workers=args.workers)
+    f = theta_expansion(lat, args.genus, args.max_trace, cache=cache)
     from_series = evaluate(f, point, precision=args.precision)
     direct = theta_eval(lat, args.genus, point, budget)
     a, b = complex(from_series.value), complex(direct.value)
@@ -180,9 +176,8 @@ def cmd_fay_check(args, cache) -> int:
     max_trace = args.max_trace if args.max_trace is not None \
         else (8 if g <= 2 else 6)
     lat = _lattice(args.lattice)
-    f = theta_expansion(lat, g, max_trace, cache=cache, workers=args.workers)
-    f_next = theta_expansion(lat, g + 1, max_trace, cache=cache,
-                             workers=args.workers)
+    f = theta_expansion(lat, g, max_trace, cache=cache)
+    f_next = theta_expansion(lat, g + 1, max_trace, cache=cache)
     rep = fay_check(data, f, f_next=f_next)
     rep["command"] = "fay-check"
     rep["lattice"] = lat.name
@@ -198,7 +193,7 @@ def cmd_cache_stats(args, cache) -> int:
         def recompute(lattice_id, key):
             rec = json.loads(key)
             target = idx.from_upper_triangle(rec["g"], rec["u"])
-            # fresh engine without the cache: forces real recomputation
+            # fresh engine with its own empty cache: forces real recomputation
             return CountEngine(_lattice(lattice_id)).count(target)
         mismatches = cache.verify_sample(recompute, fraction=args.fraction)
         doc["verified_fraction"] = args.fraction
@@ -222,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, genus=True, trace=True):
         p.add_argument("--cache", default=None,
                        help=f"cache file path (default: ${ENV_CACHE_PATH})")
-        p.add_argument("--workers", type=int, default=0,
-                       help="worker threads for counting (0 = serial)")
         if genus:
             p.add_argument("--genus", type=int, required=True)
         if trace:

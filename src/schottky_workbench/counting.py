@@ -11,17 +11,17 @@ integers, so results are exact regardless of size.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import indices as idx
-from .cache import index_key
+from .cache import CountCache, index_key
 from .lattices import Lattice, short_vector_shells
 
 # pair-Gram matrices above this many entries are not materialized
 _PAIR_GRAM_LIMIT = 60_000_000
-# float64 work-block budget for the blockwise histograms (entries)
+# float64 work-block budget (entries) for building pair-Gram matrices and
+# for the blockwise histograms
 _BLOCK_ENTRIES = 4_000_000
 
 _pair_gram_cache: dict = {}
@@ -41,9 +41,10 @@ def _pair_gram(lat: Lattice, n1: int, n2: int):
     g = lat.gram_array.astype(np.float64)
     right = g @ v2.T.astype(np.float64)
     out = np.empty((len(v1), len(v2)), dtype=np.int8)
-    for lo in range(0, len(v1), 4096):
-        block = v1[lo : lo + 4096].astype(np.float64) @ right
-        out[lo : lo + 4096] = np.rint(block).astype(np.int8)
+    rows = max(1, _BLOCK_ENTRIES // len(v2))
+    for lo in range(0, len(v1), rows):
+        block = v1[lo : lo + rows].astype(np.float64) @ right
+        out[lo : lo + rows] = np.rint(block).astype(np.int8)
     _pair_gram_cache[key] = out
     if n1 != n2:
         _pair_gram_cache[(lat.gram, n2, n1)] = out.T
@@ -57,21 +58,17 @@ def _ip_row(lat: Lattice, shell: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class CountEngine:
-    """Counts vector tuples of a fixed lattice, with memoization.
+    """Counts vector tuples of a fixed lattice, memoized in a CountCache.
 
-    With a CountCache attached, every count() call performs exactly one cache
-    lookup (on the canonical key), so cache hits + misses equals the number
-    of calls.
+    Without a cache argument the engine keeps a private in-memory
+    CountCache.  Every count() call performs exactly one cache lookup (on the
+    canonical key), so cache hits + misses equals the number of calls.
     """
 
-    def __init__(self, lattice: Lattice, cache=None, dedup: bool = True,
-                 workers: int = 0):
+    def __init__(self, lattice: Lattice, cache=None):
         self.lattice = lattice
-        self.cache = cache
-        self.dedup = dedup
-        self.workers = workers
+        self.cache = cache if cache is not None else CountCache()
         self.calls = 0
-        self._local = {}
 
     # -- public ----------------------------------------------------------
 
@@ -79,22 +76,14 @@ class CountEngine:
         """Number of tuples (x_1..x_g) with Gram matrix `target`."""
         s = idx.validate_index(target)
         self.calls += 1
-        key_m = idx.canonical_signed_perm(s) if self.dedup else _diag_sorted(s)
+        key_m = idx.canonical_signed_perm(s)
         key = index_key(len(key_m), idx.upper_triangle(key_m))
         lid = self.lattice.key()
-        if self.cache is not None:
-            got = self.cache.get(lid, key)
-            if got is not None:
-                return got
-        else:
-            got = self._local.get(key)
-            if got is not None:
-                return got
+        got = self.cache.get(lid, key)
+        if got is not None:
+            return got
         value = self._compute(key_m)
-        if self.cache is not None:
-            self.cache.put(lid, key, value)
-        else:
-            self._local[key] = value
+        self.cache.put(lid, key, value)
         return value
 
     # -- reductions ------------------------------------------------------
@@ -211,20 +200,7 @@ class CountEngine:
                 total += rec(level + 1, masks_after(level, k, masks[1:]))
             return total
 
-        full = [np.ones(len(v), dtype=bool) for v in vs]
-        if self.workers and self.workers > 1:
-            m0 = len(vs[0])
-            chunks = []
-            step = max(1, -(-m0 // self.workers))
-            for lo in range(0, m0, step):
-                first = np.zeros(m0, dtype=bool)
-                first[lo : lo + step] = True
-                chunks.append([first] + full[1:])
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                parts = list(pool.map(lambda ms: rec(0, ms), chunks))
-            return sum(parts)
-        return rec(0, full)
-
+        return rec(0, [np.ones(len(v), dtype=bool) for v in vs])
 
     def _count_quad(self, s, pgs, m0) -> int:
         """Genus 4 via one explicit slot plus a matrix triple contraction.
@@ -250,27 +226,6 @@ class CountEngine:
         return total
 
 
-def _diag_sorted(s):
-    """Permute slots so the diagonal is ascending (a GL_g(Z) move)."""
-    g = len(s)
-    order = sorted(range(g), key=lambda p: s[p][p])
-    return tuple(tuple(s[order[p]][order[q]] for q in range(g)) for p in range(g))
-
-
-_engines: dict = {}
-
-
-def get_engine(lattice: Lattice, cache=None, dedup: bool = True,
-               workers: int = 0) -> CountEngine:
-    key = (lattice.gram, id(cache), dedup, workers)
-    eng = _engines.get(key)
-    if eng is None:
-        eng = CountEngine(lattice, cache=cache, dedup=dedup, workers=workers)
-        _engines[key] = eng
-    return eng
-
-
-def representation_count(lattice: Lattice, target, cache=None,
-                         dedup: bool = True, workers: int = 0) -> int:
+def representation_count(lattice: Lattice, target, cache=None) -> int:
     """#{(x_1..x_g) in lattice^g : <x_p, x_q> = target[p][q] for all p, q}."""
-    return get_engine(lattice, cache, dedup, workers).count(target)
+    return CountEngine(lattice, cache).count(target)

@@ -12,7 +12,7 @@ import math
 from functools import lru_cache
 
 
-class IndexError_(ValueError):
+class InvalidIndexError(ValueError):
     """Invalid index matrix."""
 
 
@@ -21,7 +21,7 @@ def as_entries(mat) -> tuple:
     rows = tuple(tuple(int(x) for x in row) for row in mat)
     g = len(rows)
     if any(len(r) != g for r in rows):
-        raise IndexError_("matrix must be square")
+        raise InvalidIndexError("matrix must be square")
     return rows
 
 
@@ -30,15 +30,15 @@ def validate_index(entries, require_psd: bool = True) -> tuple:
     s = as_entries(entries)
     g = len(s)
     if g < 1:
-        raise IndexError_("genus must be >= 1")
+        raise InvalidIndexError("genus must be >= 1")
     for p in range(g):
         if s[p][p] % 2 != 0 or s[p][p] < 0:
-            raise IndexError_("diagonal entries must be even and >= 0")
+            raise InvalidIndexError("diagonal entries must be even and >= 0")
         for q in range(p):
             if s[p][q] != s[q][p]:
-                raise IndexError_("matrix must be symmetric")
+                raise InvalidIndexError("matrix must be symmetric")
     if require_psd and not is_psd(s):
-        raise IndexError_("matrix must be positive semi-definite")
+        raise InvalidIndexError("matrix must be positive semi-definite")
     return s
 
 
@@ -102,7 +102,7 @@ def upper_triangle(entries) -> list:
 def from_upper_triangle(g: int, values) -> tuple:
     vals = list(values)
     if len(vals) != g * (g + 1) // 2:
-        raise IndexError_("wrong number of upper-triangle entries")
+        raise InvalidIndexError("wrong number of upper-triangle entries")
     m = [[0] * g for _ in range(g)]
     it = iter(vals)
     for p in range(g):
@@ -133,9 +133,10 @@ def enumerate_indices(g: int, max_trace: int) -> tuple:
     shares one enumeration.
     """
     if g < 1:
-        raise IndexError_("genus must be >= 1")
+        raise InvalidIndexError("genus must be >= 1")
     if max_trace < 0 or max_trace % 2 != 0:
-        raise IndexError_("max_trace must be a non-negative even integer")
+        raise InvalidIndexError(
+            "max_trace must be a non-negative even integer")
     pairs = [(p, q) for p in range(g) for q in range(p + 1, g)]
     out = []
     for diag in _even_diagonals(g, max_trace):

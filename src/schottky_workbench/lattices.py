@@ -107,14 +107,6 @@ class Lattice:
         return self.name
 
 
-@dataclass(frozen=True)
-class LatticeVector:
-    """A lattice vector in Gram-basis coordinates, with its (even) norm."""
-
-    coords: tuple
-    norm: int
-
-
 SUPPORTED = {
     "E8": (8, E8_GRAM),
     "D16plus": (16, D16PLUS_GRAM),
@@ -208,7 +200,7 @@ _SHELL_CACHE: dict = {}
 
 
 def short_vector_shells(lat: Lattice, max_norm: int) -> dict:
-    """Vectors of norm <= max_norm grouped by norm, as int16 arrays.
+    """Vectors of norm <= max_norm grouped by norm, as int8 arrays.
 
     Results are cached per lattice; a request below an already-computed bound
     reuses the stored arrays.
@@ -231,21 +223,6 @@ def short_vector_shells(lat: Lattice, max_norm: int) -> dict:
     }
     _SHELL_CACHE[ck] = shells
     return shells
-
-
-def enumerate_vectors(lat: Lattice, max_norm: int) -> list:
-    """Every lattice vector of norm <= max_norm, as LatticeVector objects.
-
-    Output is sorted by (norm, lexicographic coordinates) and includes the
-    zero vector.  For bulk numeric work prefer short_vector_shells, which
-    returns raw integer arrays.
-    """
-    shells = short_vector_shells(lat, max_norm)
-    out = []
-    for m in sorted(shells):
-        for row in shells[m]:
-            out.append(LatticeVector(coords=tuple(int(c) for c in row), norm=m))
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -17,25 +17,21 @@ from .theta import theta_expansion
 WEIGHT = 8
 
 
-def schottky_expansion(g: int, max_trace: int, cache=None, dedup: bool = True,
-                       workers: int = 0) -> FourierExpansion:
+def schottky_expansion(g: int, max_trace: int,
+                       cache=None) -> FourierExpansion:
     """theta(E8+E8) - theta(D16+) at genus g, truncated at max_trace."""
-    f1 = theta_expansion(lattice_by_id("E8E8"), g, max_trace, cache=cache,
-                         dedup=dedup, workers=workers)
-    f2 = theta_expansion(lattice_by_id("D16plus"), g, max_trace, cache=cache,
-                         dedup=dedup, workers=workers)
+    f1 = theta_expansion(lattice_by_id("E8E8"), g, max_trace, cache=cache)
+    f2 = theta_expansion(lattice_by_id("D16plus"), g, max_trace, cache=cache)
     return f1 - f2
 
 
-def nonzero_report(g: int, max_trace: int, cache=None, dedup: bool = True,
-                   workers: int = 0) -> dict:
+def nonzero_report(g: int, max_trace: int, cache=None) -> dict:
     """The scan: builds the difference once and reports its status plus
     every nonzero coefficient, in enumeration order.
 
     verify_vanishing and first_nonzero_index are views of this report.
     """
-    diff = schottky_expansion(g, max_trace, cache=cache, dedup=dedup,
-                              workers=workers)
+    diff = schottky_expansion(g, max_trace, cache=cache)
     nonzero = []
     checked = 0
     for s in idx.enumerate_indices(g, max_trace):
@@ -60,8 +56,7 @@ def _first(g: int, rep: dict):
     return idx.from_upper_triangle(g, first["S"]), int(first["a"])
 
 
-def verify_vanishing(g: int, max_trace: int, cache=None, dedup: bool = True,
-                     workers: int = 0) -> dict:
+def verify_vanishing(g: int, max_trace: int, cache=None) -> dict:
     """Check that every coefficient of the difference vanishes (genus <= 3).
 
     Returns a report dict; on failure it carries the first offending index
@@ -70,8 +65,7 @@ def verify_vanishing(g: int, max_trace: int, cache=None, dedup: bool = True,
     """
     if g not in (1, 2, 3):
         raise ValueError("identical vanishing is only claimed for genus 1..3")
-    rep = nonzero_report(g, max_trace, cache=cache, dedup=dedup,
-                         workers=workers)
+    rep = nonzero_report(g, max_trace, cache=cache)
     first = _first(g, rep)
     if first is None:
         return {"genus": g, "max_trace": max_trace, "status": "pass",
@@ -89,9 +83,7 @@ def verify_vanishing(g: int, max_trace: int, cache=None, dedup: bool = True,
     }
 
 
-def first_nonzero_index(g: int, max_trace: int, cache=None,
-                        dedup: bool = True, workers: int = 0):
+def first_nonzero_index(g: int, max_trace: int, cache=None):
     """First index (in enumeration order) with a nonzero difference, with its
     exact coefficient, or None if all coefficients up to max_trace vanish."""
-    return _first(g, nonzero_report(g, max_trace, cache=cache, dedup=dedup,
-                                    workers=workers))
+    return _first(g, nonzero_report(g, max_trace, cache=cache))

@@ -13,20 +13,20 @@ import math
 import numpy as np
 
 from . import indices as idx
-from .counting import get_engine
+from .counting import CountEngine
 from .expansion import (EvalResult, FourierExpansion,
                         IncompatibleExpansionError, SiegelPoint)
 from .lattices import Lattice, short_vector_shells
 
 
-def theta_expansion(lat: Lattice, g: int, max_trace: int, cache=None,
-                    dedup: bool = True, workers: int = 0) -> FourierExpansion:
+def theta_expansion(lat: Lattice, g: int, max_trace: int,
+                    cache=None) -> FourierExpansion:
     """Fourier expansion of the genus-g theta series, weight rank/2.
 
     The coefficient at S is the number of g-tuples of lattice vectors with
     Gram matrix S.
     """
-    engine = get_engine(lat, cache=cache, dedup=dedup, workers=workers)
+    engine = CountEngine(lat, cache)
     coeffs = {s: engine.count(s) for s in idx.enumerate_indices(g, max_trace)}
     return FourierExpansion(g=g, weight=lat.rank // 2, max_trace=max_trace,
                             coeffs=coeffs)

@@ -212,7 +212,7 @@ def test_criterion_10_property_suite(cache):
         siegel_operator(f2) + siegel_operator(f2).scale(3)
     # serialization round trip
     ser_ok = FourierExpansion.loads(f2.dumps()) == f2
-    # cache hits equal recomputation (fresh engines, no cache attached)
+    # cache hits equal recomputation (fresh engines, each with an empty cache)
     engines = {}
 
     def recompute(lattice_id, key):

@@ -1,7 +1,12 @@
 """Persistent count cache: round trips, corruption handling, verification."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 
+import schottky_workbench
 from schottky_workbench.cache import (ENGINE_VERSION, ENV_CACHE_PATH,
                                       CountCache, cache_from_env, index_key)
 from schottky_workbench.counting import CountEngine
@@ -95,3 +100,56 @@ def test_memory_only_cache():
     cache.put("E8", index_key(1, [2]), 240)
     assert cache.get("E8", index_key(1, [2])) == 240
     assert cache.path is None
+
+
+_APPEND_CHILD = """
+import os, sys, time
+from schottky_workbench.cache import CountCache, index_key
+path, lattice_id, n, ready, go = sys.argv[1:]
+cache = CountCache(path)
+open(ready, "w").close()
+deadline = time.monotonic() + 60
+while not os.path.exists(go) and time.monotonic() < deadline:
+    time.sleep(0.001)
+for i in range(int(n)):
+    cache.put(lattice_id, index_key(1, [2 * i]), 10 ** 30 + i)
+"""
+
+
+def _wait_for(paths, timeout):
+    deadline = time.monotonic() + timeout
+    while not all(p.exists() for p in paths):
+        assert time.monotonic() < deadline, "writer did not start"
+        time.sleep(0.01)
+
+
+def test_two_processes_append_concurrently(tmp_path):
+    # both writers start appending on the same signal, so their appends
+    # interleave under the advisory lock; no record may be lost or torn
+    n = 2000
+    lids = ("E8", "D16plus")
+    path, go = tmp_path / "c.jsonl", tmp_path / "go"
+    ready = [tmp_path / f"{lid}.ready" for lid in lids]
+    src = os.path.dirname(os.path.dirname(schottky_workbench.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    children = [subprocess.Popen([sys.executable, "-c", _APPEND_CHILD,
+                                  str(path), lid, str(n), str(r), str(go)],
+                                 env=env)
+                for lid, r in zip(lids, ready)]
+    try:
+        _wait_for(ready, 120)
+        go.touch()
+        for child in children:
+            assert child.wait(timeout=120) == 0
+    finally:
+        for child in children:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+    fresh = CountCache(path)
+    assert fresh.corrupt_records == 0
+    assert fresh.loaded_records == 2 * n
+    assert fresh.entries() == {(lid, index_key(1, [2 * i])): 10 ** 30 + i
+                               for lid in lids for i in range(n)}

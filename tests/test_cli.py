@@ -61,6 +61,7 @@ def test_siegel_phi_subcommand(capsys, tmp_path):
     assert code == 0
     assert phi["genus"] == 1
     assert [e["a"] for e in phi["entries"]] == ["1", "240", "2160"]
+    jsonschema.validate(phi, load_schema("fourier-expansion.schema.json"))
 
 
 def test_schottky_verify_pass(capsys, tmp_path, monkeypatch):
@@ -104,6 +105,7 @@ def test_eval_two_paths(capsys):
     assert code == 0
     assert doc["status"] == "pass"
     assert doc["rel_difference"] <= 1e-8
+    jsonschema.validate(doc, load_schema("verification-report.schema.json"))
 
 
 def test_fay_check_subcommand(capsys, tmp_path):

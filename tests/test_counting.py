@@ -1,4 +1,6 @@
-"""Representation counts: oracles, reductions, invariances, parallelism."""
+"""Representation counts: oracles, reductions, invariances, memoization."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -101,18 +103,26 @@ def test_gl_invariance_of_counts(e8):
             assert eng.count(t) == base
 
 
-def test_dedup_equals_uncompressed(e8):
-    a = CountEngine(e8, dedup=True)
-    b = CountEngine(e8, dedup=False)
-    for s in idx.enumerate_indices(2, 4):
-        assert a.count(s) == b.count(s)
+def _signed_permutations(s):
+    """Every matrix D P s P^T D with P a permutation, D a sign diagonal."""
+    g = len(s)
+    out = set()
+    for perm in itertools.permutations(range(g)):
+        for signs in itertools.product((1, -1), repeat=g):
+            out.add(tuple(tuple(signs[p] * signs[q] * s[perm[p]][perm[q]]
+                                for q in range(g)) for p in range(g)))
+    return sorted(out)
 
 
-def test_parallel_equals_serial(e8):
-    target = ((2, 1, 0), (1, 2, 1), (0, 1, 2))
-    serial = CountEngine(e8, workers=0).count(target)
-    parallel = CountEngine(e8, workers=2).count(target)
-    assert serial == parallel
+def test_canonical_key_equals_uncanonicalized(e8):
+    # count() looks up and computes on the canonical form; _compute works on
+    # the matrix as given, so the two only agree if canonicalization keeps
+    # the counted class
+    eng = CountEngine(e8)
+    for g in (2, 3):
+        for s in idx.enumerate_indices(g, 4):
+            for t in _signed_permutations(s):
+                assert eng.count(t) == CountEngine(e8)._compute(t)
 
 
 def test_engine_uses_cache_once_per_call(e8, tmp_path):
@@ -125,6 +135,17 @@ def test_engine_uses_cache_once_per_call(e8, tmp_path):
     # every count() call (including recursive reductions) does one lookup
     assert cache.hits + cache.misses == eng.calls
     assert cache.hits >= 2
+
+
+def test_engine_without_cache_memoizes_once_per_call(e8):
+    eng = CountEngine(e8)
+    assert isinstance(eng.cache, CountCache) and eng.cache.path is None
+    for s in (((2, 1), (1, 2)), ((2, -1), (-1, 2)), ((2, 0), (0, 0)),
+              ((2,),)):
+        eng.count(s)
+    assert eng.cache.hits + eng.cache.misses == eng.calls
+    assert eng.cache.hits >= 2
+    assert eng.cache.puts == eng.cache.misses
 
 
 def test_representation_count_helper(e8):

@@ -59,11 +59,12 @@ def test_is_psd_exact_cases():
 
 
 def test_validate_rejects_bad_matrices():
-    with pytest.raises(ValueError):
+    assert issubclass(idx.InvalidIndexError, ValueError)
+    with pytest.raises(idx.InvalidIndexError):
         idx.validate_index(((1, 0), (0, 2)))     # odd diagonal
-    with pytest.raises(ValueError):
+    with pytest.raises(idx.InvalidIndexError):
         idx.validate_index(((2, 1), (0, 2)))     # asymmetric
-    with pytest.raises(ValueError):
+    with pytest.raises(idx.InvalidIndexError):
         idx.validate_index(((2, 3), (3, 2)))     # not psd
 
 

@@ -13,8 +13,7 @@ import pytest
 from schottky_workbench.lattices import (Lattice, LatticeError,
                                          UnsupportedLatticeError,
                                          build_lattice, direct_sum,
-                                         enumerate_vectors, lattice_by_id,
-                                         short_vector_shells)
+                                         lattice_by_id, short_vector_shells)
 
 
 def _ambient_count(n: int, norm: int, with_halves: bool) -> int:
@@ -90,13 +89,13 @@ def test_exact_norms(d16):
         assert (np.einsum("ij,jk,ik->i", v, g, v) == m).all()
 
 
-def test_enumerate_vectors_sorted_and_typed(e8):
-    out = enumerate_vectors(e8, 2)
-    assert len(out) == 241
-    assert out[0].coords == (0,) * 8 and out[0].norm == 0
-    assert all(v.norm == 2 for v in out[1:])
-    assert [(v.norm, v.coords) for v in out] == \
-        sorted((v.norm, v.coords) for v in out)
+def test_shells_sorted_and_typed(e8):
+    shells = short_vector_shells(e8, 2)
+    assert sorted(shells) == [0, 2]
+    assert all(v.dtype == np.int8 for v in shells.values())
+    assert shells[0].tolist() == [[0] * 8]
+    rows = shells[2].tolist()
+    assert len(rows) == 240 and rows == sorted(rows)
 
 
 def test_direct_sum_block_structure(e8):
