@@ -23,6 +23,8 @@ _PAIR_GRAM_LIMIT = 60_000_000
 # float64 work-block budget (entries) for building pair-Gram matrices and
 # for the blockwise histograms
 _BLOCK_ENTRIES = 4_000_000
+# float32 represents every integer below 2**24 exactly
+_F32_EXACT = 1 << 24
 
 _pair_gram_cache: dict = {}
 
@@ -33,6 +35,10 @@ def _pair_gram(lat: Lattice, n1: int, n2: int):
     key = (lat.gram, n1, n2)
     if key in _pair_gram_cache:
         return _pair_gram_cache[key]
+    if math.isqrt(n1 * n2) > 127:
+        raise OverflowError(
+            f"inner products of norms {n1} and {n2} can exceed the int8 "
+            f"range of a pair-Gram matrix")
     shells = short_vector_shells(lat, max(n1, n2))
     v1, v2 = shells[n1], shells[n2]
     if v1.size == 0 or v2.size == 0 or len(v1) * len(v2) > _PAIR_GRAM_LIMIT:
@@ -136,18 +142,19 @@ class CountEngine:
         bound = math.isqrt(d1 * d2)
         off = bound
         pg = _pair_gram(self.lattice, d1, d2)
+        if pg is None:
+            right = self.lattice.gram_array.astype(np.float64) \
+                @ v2.T.astype(np.float64)
         counts = np.zeros(2 * bound + 1, dtype=np.int64)
-        if pg is not None:
-            counts += np.bincount((pg.astype(np.int64) + off).ravel(),
-                                  minlength=2 * bound + 1)
-        else:
-            g = self.lattice.gram_array.astype(np.float64)
-            right = g @ v2.T.astype(np.float64)
-            rows = max(1, _BLOCK_ENTRIES // max(1, len(v2)))
-            for lo in range(0, len(v1), rows):
+        rows = max(1, _BLOCK_ENTRIES // max(1, len(v2)))
+        for lo in range(0, len(v1), rows):
+            if pg is not None:
+                block = pg[lo : lo + rows].astype(np.int64)
+            else:
                 block = v1[lo : lo + rows].astype(np.float64) @ right
-                vals = np.rint(block).astype(np.int64) + off
-                counts += np.bincount(vals.ravel(), minlength=2 * bound + 1)
+                block = np.rint(block, out=block).astype(np.int64)
+            block += off
+            counts += np.bincount(block.ravel(), minlength=2 * bound + 1)
         hist = {t - off: int(c) for t, c in enumerate(counts)}
         _pair_gram_cache[hk] = hist
         return hist
@@ -207,7 +214,8 @@ class CountEngine:
 
         For fixed x_0 the remaining constraints form a three-index boolean
         contraction sum_{j,k,l} A[j,k] C[k,l] B[j,l]; float32 matmul is exact
-        here (all intermediate integers stay far below 2**24) and the final
+        while every slot has fewer than 2**24 candidates (each entry of A C
+        is at most the x_2 candidate count), which is checked, and the final
         reduction accumulates in float64.
         """
         p01, p02, p03 = pgs[(0, 1)], pgs[(0, 2)], pgs[(0, 3)]
@@ -219,6 +227,10 @@ class CountEngine:
             lidx = np.nonzero(p03[k0] == s[0][3])[0]
             if jidx.size == 0 or kidx.size == 0 or lidx.size == 0:
                 continue
+            if max(jidx.size, kidx.size, lidx.size) >= _F32_EXACT:
+                raise OverflowError(
+                    "a slot has 2**24 or more candidates: the float32 "
+                    "contraction would not be exact")
             a = (p12[np.ix_(jidx, kidx)] == s[1][2]).astype(np.float32)
             b = (p13[np.ix_(jidx, lidx)] == s[1][3]).astype(np.float32)
             c = (p23[np.ix_(kidx, lidx)] == s[2][3]).astype(np.float32)

@@ -340,14 +340,16 @@ def apply_derivative(f: FourierExpansion,
                             f.prefactor_power + n.degree)
 
 
-def _phase_trace(s, tau) -> complex:
-    """sum_{p,q} S_pq tau_pq for a stored index and a tau matrix."""
-    g = len(s)
-    total = 0
-    for p in range(g):
-        total += s[p][p] * tau[p][p]
-        for q in range(p + 1, g):
-            total += 2 * s[p][q] * tau[p][q]
+def _phase_trace(s, tau, g: int = None) -> complex:
+    """sum_{p,q} S_pq tau_pq over the leading g x g block (default: all of
+    S), diagonal once and off-diagonal twice, for an index and a tau
+    matrix."""
+    n = len(s) if g is None else g
+    total = 0j
+    for p in range(n):
+        total += s[p][p] * complex(tau[p][p])
+        for q in range(p + 1, n):
+            total += 2 * s[p][q] * complex(tau[p][q])
     return total
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import indices as idx
 from .expansion import (DerivativePolynomial, DomainError, FourierExpansion,
                         IncompatibleExpansionError, SiegelPoint,
-                        apply_derivative, evaluate)
+                        _phase_trace, apply_derivative, evaluate)
 
 TWO_PI_I = 2j * math.pi
 
@@ -143,16 +143,6 @@ def period_matrix_first_order(data: DegenerationData, t: complex) -> np.ndarray:
     return out
 
 
-def _phase_block(s, tau, g: int) -> complex:
-    """sum over p, q < g of s_pq tau_pq (diagonal once, off-diagonal twice)."""
-    total = 0j
-    for p in range(g):
-        total += s[p][p] * complex(tau[p][p])
-        for q in range(p + 1, g):
-            total += 2 * s[p][q] * complex(tau[p][q])
-    return total
-
-
 def coefficient_A(f: FourierExpansion, n: DerivativePolynomial,
                   tau: SiegelPoint, sigma) -> complex:
     """A = sum over stored indices S of
@@ -174,8 +164,8 @@ def coefficient_A(f: FourierExpansion, n: DerivativePolynomial,
         nv = n.evaluate_at(s)
         if nv == 0:
             continue
-        phase_sigma = _phase_block(s, sig, f.g)
-        phase_tau = _phase_block(s, tm, f.g)
+        phase_sigma = _phase_trace(s, sig, f.g)
+        phase_tau = _phase_trace(s, tm, f.g)
         total += float(a) * float(nv) * (1j * math.pi * phase_sigma) \
             * cmath.exp(1j * math.pi * phase_tau)
     return total
@@ -204,7 +194,7 @@ def coefficient_B(f_next: FourierExpansion, n_next: DerivativePolynomial,
         border_phase = sum(s[p][g] * ajv[p] for p in range(g))
         total += float(a) * float(nv) \
             * cmath.exp(TWO_PI_I * border_phase) \
-            * cmath.exp(1j * math.pi * _phase_block(s, tm, g))
+            * cmath.exp(1j * math.pi * _phase_trace(s, tm, g))
     return total
 
 

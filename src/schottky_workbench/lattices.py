@@ -176,6 +176,8 @@ def _enumerate_array(gram: np.ndarray, max_norm: int) -> np.ndarray:
         rep = np.repeat(np.arange(len(xs)), width)
         offs = np.arange(total) - np.repeat(np.cumsum(width) - width, width)
         xi = lo[rep] + offs
+        if total and (xi.min() < -(1 << 15) or xi.max() >= 1 << 15):
+            raise LatticeError("coordinates exceed int16 range")
         new_xs = xs[rep]
         new_xs[:, i] = xi.astype(np.int16)
         y = xi.astype(np.float64) + center[rep]

@@ -37,13 +37,68 @@ def default_norm_budget(max_trace: int) -> int:
     return 2 * max_trace + 4
 
 
+# entry budget of one inner-product block; its float64 and integer
+# temporaries stay at 256 KiB each (512 KiB complex weights for genus >= 3)
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _ip_histogram(xs: np.ndarray, ys: np.ndarray, gram: np.ndarray,
+                  bound: int, u=None, w=None) -> np.ndarray:
+    """Histogram over t in [-bound, bound] (stored at t + bound) of the inner
+    products <x, y> for x in xs, y in ys.
+
+    Without weights entry t is the exact int64 number of pairs with
+    <x, y> = t; with row weights u and column weights w it is the complex sum
+    of u(x) w(y) over those pairs.  X_block G Y^T is formed in float64 from
+    int8 coordinates and the small integer Gram matrix, so every product is
+    an exact integer (far below 2**53); `bound` is the Cauchy-Schwarz bound
+    isqrt(|x|^2 |y|^2), and a rounded value outside [-bound, bound] raises.
+    """
+    n = 2 * bound + 1
+    hist = np.zeros(n, dtype=np.int64 if u is None else complex)
+    if len(xs) == 0 or len(ys) == 0:
+        return hist
+    right = gram.astype(np.float64) @ ys.T.astype(np.float64)
+    rows = max(1, _BLOCK_ENTRIES // len(ys))
+    for lo in range(0, len(xs), rows):
+        block = xs[lo : lo + rows].astype(np.float64) @ right
+        block += bound
+        np.rint(block, out=block)
+        if block.min() < 0 or block.max() > 2 * bound:
+            raise ArithmeticError(
+                f"inner product outside [-{bound}, {bound}]: the float64 "
+                f"pair block is not exact")
+        vals = block.astype(np.intp).ravel()
+        if u is None:
+            hist += np.bincount(vals, minlength=n)
+        else:
+            wts = np.outer(u[lo : lo + rows], w).ravel()
+            hist += np.bincount(vals, wts.real, n) \
+                + 1j * np.bincount(vals, wts.imag, n)
+    return hist
+
+
 def theta_eval(lat: Lattice, g: int, point: SiegelPoint,
                norm_budget: int) -> EvalResult:
     """Direct theta sum over tuples (x_1..x_g) with total norm <= budget.
 
-    Independent numerical oracle: it iterates actual lattice vectors and
-    never consults representation counts or stored expansions.  Tuples are
-    walked depth-first; the last slot is vectorized over whole shells.
+    Independent numerical oracle: it sums over actual lattice vectors from
+    short_vector_shells and never consults representation counts, pair
+    histograms or stored expansions.  Genus 1 is a closed sum over shell
+    sizes.  From genus 2 on, the first g - 2 slots are walked vector by
+    vector and the last two are summed per pair of shell norms (m1, m2) in
+    one blockwise operation: the integer inner products <x, y> of a block of
+    the norm-m1 shell against the whole norm-m2 shell are binned (weighted,
+    from genus 3, by the phases the earlier slots give each row and column)
+    and the bins are dotted with the phase table exp(2 pi i tau t),
+    |t| <= isqrt(m1 m2).  A pair with a norm-0 shell is a product of two row
+    sums.
+
+    Memory: a block holds at most _BLOCK_ENTRIES = 2**15 pairs, so its
+    temporaries stay under 1 MB beside the shells.  Exactness: the inner
+    products are float64 products of int8 coordinates and the integer Gram
+    matrix, exact integers far below 2**53; a rounded value outside
+    [-isqrt(m1 m2), isqrt(m1 m2)] raises ArithmeticError.
     """
     if point.g != g:
         raise IncompatibleExpansionError("point genus mismatch")
@@ -54,50 +109,93 @@ def theta_eval(lat: Lattice, g: int, point: SiegelPoint,
     norms = sorted(shells)
     gram = lat.gram_array
 
-    total = 0j
-    boundary = 0
-    chunk_rows = 500_000  # bounds the float64 temporaries to ~64 MB
+    pii = 1j * math.pi
+    if g == 1:
+        total = 0j
+        for m in norms:
+            total += len(shells[m]) * np.exp(pii * m * complex(tau[0, 0]))
+    else:
+        total = _last_two_slots(shells, norms, gram, tau, norm_budget)
 
-    def last_slot(m, chosen_gx, phase):
-        """Vectorized sum over the whole norm-m shell in the final slot."""
-        const = phase + 1j * math.pi * m * complex(tau[g - 1, g - 1])
-        vecs = shells[m]
-        if not chosen_gx:
-            return len(vecs) * np.exp(const)
-        out = 0j
-        for lo in range(0, len(vecs), chunk_rows):
-            block = vecs[lo : lo + chunk_rows].astype(np.float64)
-            expo = np.full(len(block), const)
-            for coef, gx in chosen_gx:
-                expo = expo + coef * (block @ gx)
-            out += np.exp(expo).sum()
+    # tuples of total norm exactly norm_budget, by norm composition
+    ways = {0: 1}
+    for _ in range(g):
+        nxt = {}
+        for used, c in ways.items():
+            for m in norms:
+                if used + m <= norm_budget:
+                    nxt[used + m] = nxt.get(used + m, 0) + c * len(shells[m])
+        ways = nxt
+    boundary = ways.get(norm_budget, 0)
+    lam = point.im_min_eig
+    tail = math.exp(-math.pi * lam * (norm_budget + 2)) * max(boundary, 1)
+    return EvalResult(value=complex(total), tail_estimate=tail)
+
+
+def _last_two_slots(shells, norms, gram, tau, norm_budget) -> complex:
+    """The genus >= 2 direct sum: a depth-first walk over the first g - 2
+    slots, each leaf a blockwise pair sum over the last two (see theta_eval).
+    """
+    g = len(tau)
+    a, b = g - 2, g - 1
+    pii = 1j * math.pi
+    half = norm_budget // 2
+    table = np.exp(2 * pii * complex(tau[a, b]) * np.arange(-half, half + 1))
+
+    def pair_sum(m1, m2, u, w):
+        """sum of u(x) w(y) exp(2 pi i tau_ab <x, y>), x in shell m1 and
+        y in shell m2; u = w = None means unit weights."""
+        if m1 == 0 or m2 == 0:
+            # every inner product is 0: a product of two row sums
+            return ((len(shells[m1]) if u is None else u.sum())
+                    * (len(shells[m2]) if w is None else w.sum()))
+        if len(shells[m1]) < len(shells[m2]):
+            # <x, y> is symmetric; the longer shell makes the fuller blocks
+            m1, m2, u, w = m2, m1, w, u
+        bound = math.isqrt(m1 * m2)
+        hist = _ip_histogram(shells[m1], shells[m2], gram, bound, u, w)
+        return hist @ table[half - bound : half + bound + 1]
+
+    def slot_weights(p, chosen, rest):
+        """exp(2 pi i sum_j tau_jp <x_j, x>) over each shell of norm <= rest,
+        for the chosen prefix vectors x_j (given as G x_j); none at genus 2."""
+        out = {}
+        for m in norms:
+            if m > rest or not chosen:
+                break
+            vecs = shells[m].astype(np.float64)
+            expo = np.zeros(len(vecs), dtype=complex)
+            for j, gx in enumerate(chosen):
+                expo += 2 * pii * complex(tau[j, p]) * (vecs @ gx)
+            out[m] = np.exp(expo)
         return out
 
-    def rec(level, chosen, chosen_gx, used, phase):
-        nonlocal total, boundary
-        if level == g - 1:
-            for m in norms:
-                if used + m > norm_budget:
+    def last_two(used, phase, chosen):
+        rest = norm_budget - used
+        u, w = slot_weights(a, chosen, rest), slot_weights(b, chosen, rest)
+        total = 0j
+        for m1 in norms:
+            for m2 in norms:
+                if m1 + m2 > rest:
                     break
-                total += last_slot(m, chosen_gx, phase)
-                if used + m == norm_budget:
-                    boundary += len(shells[m])
-            return
+                ph = np.exp(phase + pii * (m1 * complex(tau[a, a])
+                                           + m2 * complex(tau[b, b])))
+                total += ph * pair_sum(m1, m2, u.get(m1), w.get(m2))
+        return total
+
+    def walk(level, used, phase, chosen):
+        if level == a:
+            return last_two(used, phase, chosen)
+        total = 0j
         for m in norms:
             if used + m > norm_budget:
                 break
             for row in shells[m]:
                 x = row.astype(np.int64)
-                ph = phase + 1j * math.pi * m * complex(tau[level, level])
-                for j, xj in enumerate(chosen):
-                    ph = ph + 2j * math.pi * complex(tau[j, level]) \
-                        * int(xj @ gram @ x)
-                gx = (gram @ x).astype(np.float64)
-                coef = 2j * math.pi * complex(tau[level, g - 1])
-                rec(level + 1, chosen + [x],
-                    chosen_gx + [(coef, gx)], used + m, ph)
+                ph = phase + pii * m * complex(tau[level, level])
+                for j, gx in enumerate(chosen):
+                    ph += 2 * pii * complex(tau[j, level]) * int(gx @ x)
+                total += walk(level + 1, used + m, ph, chosen + [gram @ x])
+        return total
 
-    rec(0, [], [], 0, 0j)
-    lam = point.im_min_eig
-    tail = math.exp(-math.pi * lam * (norm_budget + 2)) * max(boundary, 1)
-    return EvalResult(value=complex(total), tail_estimate=tail)
+    return walk(0, 0, 0j, [])

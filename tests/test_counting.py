@@ -1,11 +1,12 @@
 """Representation counts: oracles, reductions, invariances, memoization."""
 
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
-from schottky_workbench import indices as idx
+from schottky_workbench import counting, indices as idx
 from schottky_workbench.cache import CountCache
 from schottky_workbench.counting import CountEngine, representation_count
 from schottky_workbench.lattices import short_vector_shells
@@ -150,3 +151,40 @@ def test_engine_without_cache_memoizes_once_per_call(e8):
 
 def test_representation_count_helper(e8):
     assert representation_count(e8, ((2,),)) == 240
+
+
+def test_pair_histogram_blocking_is_exact(e8, monkeypatch):
+    def histogram(limit, block):
+        monkeypatch.setattr(counting, "_pair_gram_cache", {})
+        monkeypatch.setattr(counting, "_PAIR_GRAM_LIMIT", limit)
+        monkeypatch.setattr(counting, "_BLOCK_ENTRIES", block)
+        return CountEngine(e8)._pair_histogram(4, 2)
+
+    want = histogram(60_000_000, 4_000_000)  # one materialized block
+    shells = short_vector_shells(e8, 4)
+    ips = collections.Counter(
+        int(v) for x in shells[4].astype(np.int64)
+        for v in shells[2].astype(np.int64) @ (e8.gram_array @ x))
+    assert want == {t: ips.get(t, 0) for t in range(-2, 3)}
+    # 4-row blocks of the materialized matrix, and of the streamed products
+    assert histogram(60_000_000, 1000) == want
+    assert histogram(0, 1000) == want
+
+
+def test_pair_gram_refuses_int8_overflow(e8):
+    # |<x, y>| <= isqrt(128 * 130) = 128 no longer fits int8; the guard
+    # fires before any shell is enumerated
+    with pytest.raises(OverflowError):
+        counting._pair_gram(e8, 128, 130)
+    assert counting._pair_gram(e8, 2, 4).dtype == np.int8
+
+
+def test_count_quad_refuses_inexact_float32(e8, monkeypatch):
+    # a root of E8 is orthogonal to 126 others: every slot of diag(2,2,2,2)
+    # has 126 candidates, so a stubbed exactness bound of 126 must trip
+    s = tuple(tuple(2 if p == q else 0 for q in range(4)) for p in range(4))
+    monkeypatch.setattr(counting, "_F32_EXACT", 126)
+    with pytest.raises(OverflowError):
+        CountEngine(e8).count(s)
+    monkeypatch.setattr(counting, "_F32_EXACT", 127)
+    assert CountEngine(e8).count(s) > 0

@@ -12,8 +12,9 @@ import pytest
 
 from schottky_workbench.lattices import (Lattice, LatticeError,
                                          UnsupportedLatticeError,
-                                         build_lattice, direct_sum,
-                                         lattice_by_id, short_vector_shells)
+                                         _enumerate_array, build_lattice,
+                                         direct_sum, lattice_by_id,
+                                         short_vector_shells)
 
 
 def _ambient_count(n: int, norm: int, with_halves: bool) -> int:
@@ -137,3 +138,11 @@ def test_unknown_lattice_rejected():
 def test_shells_reject_odd_bound(e8):
     with pytest.raises(ValueError):
         short_vector_shells(e8, 3)
+
+
+def test_enumeration_refuses_int16_coordinates():
+    # the rank-1 form 2x^2 <= 2 * 32768**2 allows x = +-32768 (65537 values)
+    with pytest.raises(LatticeError, match="int16"):
+        _enumerate_array(np.array([[2]]), 2 * 32768 ** 2)
+    with pytest.raises(LatticeError, match="int8"):
+        _enumerate_array(np.array([[2]]), 2 * 32767 ** 2)

@@ -1,11 +1,125 @@
 """Theta expansions vs the direct series sum, and the operator identity."""
 
+import math
+
+import numpy as np
 import pytest
 
+from schottky_workbench import counting, theta
 from schottky_workbench.expansion import SiegelPoint, evaluate, siegel_operator
-from schottky_workbench.lattices import direct_sum
+from schottky_workbench.lattices import direct_sum, short_vector_shells
 from schottky_workbench.theta import (default_norm_budget, theta_eval,
                                       theta_expansion)
+
+TAU = {
+    1: SiegelPoint(1, ((0.3 + 1.2j,),)),
+    2: SiegelPoint(2, ((0.2 + 1.1j, 0.1 + 0.2j), (0.1 + 0.2j, 0.3 + 1.3j))),
+    3: SiegelPoint(3, ((0.2 + 1.1j, 0.1 + 0.2j, -0.05 + 0.1j),
+                       (0.1 + 0.2j, 0.3 + 1.2j, 0.07 - 0.1j),
+                       (-0.05 + 0.1j, 0.07 - 0.1j, -0.1 + 1.3j))),
+}
+
+
+def _theta_eval_reference(lat, g, point, norm_budget):
+    """Brute-force oracle for theta_eval: every slot but the last is walked
+    vector by vector, the last one vectorized over a whole shell.
+
+    The terms are summed with math.fsum: a running complex sum over the
+    ~1e5 leaves drifts by a few 1e-12 relative (D16+, genus 2, budget 4).
+    """
+    tau = point.matrix
+    shells = short_vector_shells(lat, norm_budget)
+    norms = sorted(shells)
+    gram = lat.gram_array
+    terms = []
+    boundary = 0
+
+    def last_slot(m, chosen_gx, phase):
+        const = phase + 1j * math.pi * m * complex(tau[g - 1, g - 1])
+        vecs = shells[m]
+        if not chosen_gx:
+            return len(vecs) * np.exp(const)
+        expo = np.full(len(vecs), const)
+        for coef, gx in chosen_gx:
+            expo = expo + coef * (vecs.astype(np.float64) @ gx)
+        vals = np.exp(expo)
+        return complex(math.fsum(vals.real), math.fsum(vals.imag))
+
+    def rec(level, chosen, chosen_gx, used, phase):
+        nonlocal boundary
+        if level == g - 1:
+            for m in norms:
+                if used + m > norm_budget:
+                    break
+                terms.append(last_slot(m, chosen_gx, phase))
+                if used + m == norm_budget:
+                    boundary += len(shells[m])
+            return
+        for m in norms:
+            if used + m > norm_budget:
+                break
+            for row in shells[m]:
+                x = row.astype(np.int64)
+                ph = phase + 1j * math.pi * m * complex(tau[level, level])
+                for j, xj in enumerate(chosen):
+                    ph = ph + 2j * math.pi * complex(tau[j, level]) \
+                        * int(xj @ gram @ x)
+                gx = (gram @ x).astype(np.float64)
+                coef = 2j * math.pi * complex(tau[level, g - 1])
+                rec(level + 1, chosen + [x],
+                    chosen_gx + [(coef, gx)], used + m, ph)
+
+    rec(0, [], [], 0, 0j)
+    total = complex(math.fsum(t.real for t in terms),
+                    math.fsum(t.imag for t in terms))
+    lam = point.im_min_eig
+    tail = math.exp(-math.pi * lam * (norm_budget + 2)) * max(boundary, 1)
+    return total, tail
+
+
+def _assert_matches_reference(lat, g, budget):
+    got = theta_eval(lat, g, TAU[g], budget)
+    want, tail = _theta_eval_reference(lat, g, TAU[g], budget)
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+    assert got.tail_estimate == tail
+
+
+@pytest.mark.parametrize("name, g, budget", [
+    ("e8", 1, 4), ("e8", 2, 4), ("e8", 3, 4), ("e8", 2, 6), ("d16", 2, 4),
+])
+def test_theta_eval_matches_per_vector_reference(name, g, budget, request):
+    _assert_matches_reference(request.getfixturevalue(name), g, budget)
+
+
+@pytest.mark.parametrize("g, budget", [(2, 6), (3, 4)])
+def test_theta_eval_tiny_blocks(e8, g, budget, monkeypatch):
+    # 4 rows of a 240-column shell per block: the block loop runs many times
+    monkeypatch.setattr(theta, "_BLOCK_ENTRIES", 1000)
+    _assert_matches_reference(e8, g, budget)
+
+
+def test_ip_histogram_raises_outside_cauchy_schwarz_range(e8):
+    roots = short_vector_shells(e8, 2)[2]
+    g = e8.gram_array
+    hist = theta._ip_histogram(roots, roots, g, 2)
+    # entry 0 is <x, y> = -2, which only y = -x reaches
+    assert hist.sum() == len(roots) ** 2 and hist[0] == len(roots)
+    with pytest.raises(ArithmeticError):
+        theta._ip_histogram(roots, roots, g, 1)
+
+
+def test_theta_eval_never_calls_counting(e8, monkeypatch):
+    pt = TAU[2]
+    want = evaluate(theta_expansion(e8, 2, 6), pt).value
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("theta_eval reached the counting engine")
+
+    monkeypatch.setattr(counting.CountEngine, "count", forbidden)
+    monkeypatch.setattr(counting.CountEngine, "_pair_histogram", forbidden)
+    monkeypatch.setattr(counting, "_pair_gram", forbidden)
+    got = theta_eval(e8, 2, pt, 6).value
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_genus1_coefficients(e8, d16):
