@@ -17,7 +17,7 @@ from .indices import (border_zero_forced, canonical_signed_perm,
                       upper_triangle, validate_index)
 from .lattices import (Lattice, LatticeError, UnsupportedLatticeError,
                        build_lattice, direct_sum, e8e8, lattice_by_id,
-                       short_vector_shells)
+                       shell_sizes, short_vector_shells)
 from .schottky import (first_nonzero_index, nonzero_report,
                        schottky_expansion, verify_vanishing)
 from .theta import default_norm_budget, theta_eval, theta_expansion
@@ -37,7 +37,8 @@ __all__ = [
     "first_nonzero_index", "from_upper_triangle", "is_psd",
     "lattice_by_id", "nonzero_report", "period_matrix_first_order",
     "representation_count", "scaling_law_check", "schottky_expansion",
-    "short_vector_shells", "siegel_limit_check", "siegel_operator",
-    "sigma_matrix", "theta_eval", "theta_expansion", "upper_triangle",
-    "validate_index", "verify_vanishing", "zero_expansion",
+    "shell_sizes", "short_vector_shells", "siegel_limit_check",
+    "siegel_operator", "sigma_matrix", "theta_eval", "theta_expansion",
+    "upper_triangle", "validate_index", "verify_vanishing",
+    "zero_expansion",
 ]

@@ -18,7 +18,7 @@ from .counting import CountEngine
 from .expansion import (DomainError, FourierExpansion, SiegelPoint, evaluate,
                         siegel_operator)
 from .fay import DegenerationData, fay_check
-from .lattices import UnsupportedLatticeError, lattice_by_id, \
+from .lattices import UnsupportedLatticeError, lattice_by_id, shell_sizes, \
     short_vector_shells
 from .schottky import nonzero_report, verify_vanishing
 from .theta import default_norm_budget, theta_eval, theta_expansion
@@ -83,17 +83,19 @@ def _read_doc(path: str) -> dict:
 
 def cmd_lattice_enum(args, cache) -> int:
     lat = _lattice(args.lattice)
-    shells = short_vector_shells(lat, args.max_norm)
     doc = {
         "command": "lattice-enum",
         "lattice": lat.name,
         "rank": lat.rank,
         "max_norm": args.max_norm,
-        "shell_sizes": {str(m): int(len(v)) for m, v in shells.items()},
     }
     if args.vectors:
+        shells = short_vector_shells(lat, args.max_norm)
         doc["vectors"] = {str(m): [[int(c) for c in row] for row in v]
                           for m, v in shells.items()}
+    # with --vectors these are the lengths of the shells just built
+    doc["shell_sizes"] = {str(m): int(c) for m, c in
+                          shell_sizes(lat, args.max_norm).items()}
     _emit(doc)
     return EXIT_OK
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import indices as idx
 from .cache import CountCache, index_key
-from .lattices import Lattice, short_vector_shells
+from .lattices import Lattice, shell_sizes, short_vector_shells
 
 # pair-Gram matrices above this many entries are not materialized
 _PAIR_GRAM_LIMIT = 60_000_000
@@ -120,8 +120,8 @@ class CountEngine:
                         minor = tuple(tuple(s[a][b] for b in keep) for a in keep)
                         return self.count(minor)
         if g == 1:
-            shells = short_vector_shells(self.lattice, s[0][0])
-            return len(shells[s[0][0]])
+            # a shell size: counted, the shell itself is never built
+            return shell_sizes(self.lattice, s[0][0])[s[0][0]]
         if g == 2:
             return self._count_pair(s[0][0], s[1][1], s[0][1])
         return self._count_dfs(s)

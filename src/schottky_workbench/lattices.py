@@ -142,89 +142,225 @@ def e8e8() -> Lattice:
     return Lattice(name="E8E8", rank=ds.rank, gram=ds.gram)
 
 
-def _unit_ldl(gram: np.ndarray):
-    """G = L diag(d) L^T with L unit lower triangular (float)."""
-    c = np.linalg.cholesky(gram.astype(np.float64))
-    dsq = np.diag(c)
-    return c / dsq, dsq * dsq
+# float64 sqrt of an integer below 2**52 is within 1 of its integer square
+# root, and every square formed while correcting it stays inside int64
+_SQRT_EXACT = 1 << 52
 
 
-def _enumerate_array(gram: np.ndarray, max_norm: int) -> np.ndarray:
+def _isqrt(disc: np.ndarray) -> np.ndarray:
+    """Exact floor square roots of a non-negative int64 array.
+
+    A float64 sqrt corrected by one integer step each way; exact while every
+    entry is below _SQRT_EXACT, so a larger entry raises ArithmeticError
+    instead of rounding.
+    """
+    if disc.size and int(disc.max()) >= _SQRT_EXACT:
+        raise ArithmeticError(
+            "a discriminant reaches 2**52: its float64 square root would "
+            "not be exact")
+    r = np.sqrt(disc.astype(np.float64)).astype(np.int64)
+    r -= r * r > disc
+    r += (r + 1) * (r + 1) <= disc
+    return r
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray):
+    """Row index and value of every integer in each interval [lo_k, hi_k]."""
+    width = np.maximum(hi - lo + 1, 0)
+    rep = np.repeat(np.arange(len(lo)), width)
+    xi = np.arange(len(rep)) - np.repeat(np.cumsum(width) - width - lo, width)
+    if len(xi) and (xi.min() < -(1 << 15) or xi.max() >= 1 << 15):
+        raise LatticeError("coordinates exceed int16 range")
+    return rep, xi
+
+
+# the walk expands each level in blocks of at most this many new prefixes
+# and finishes one block before it starts the next, so its memory does not
+# grow with the number of vectors
+_WALK_ROWS = 1 << 12
+
+
+def _prefix_walk(gram: np.ndarray, max_norm: int, coords: bool):
+    """Blocks of every prefix (x_0..x_{n-2}) that can reach norm <= max_norm.
+
+    Coordinates are filled first to last.  A prefix carries exact integer
+    state: q = x_p^T G_pp x_p and h = (G x_p) on the unfilled coordinates u.
+    Given the prefix, the real minimum of the norm over x_u is reached at
+    -G_uu^{-1} h; its first coordinate is the center of the next interval,
+    and the minimum itself is the carried float `partial`.  Each interval
+    is padded by small float slack, so the walk can only overproduce
+    prefixes, never lose one.  Each level is expanded in blocks of at most
+    `_WALK_ROWS` new prefixes, walked depth first.  Yields (xs, q, h_last) per
+    block, blocks in lexicographic order: int16 coordinates with the last
+    column still zero (None unless `coords`), and q and h of the last
+    coordinate.
+    """
+    n = gram.shape[0]
+    bound = float(max_norm) + 0.25
+    # row 0 of G_uu^{-1} for u = (i..n-1): its entry 0 is 1 / (the LDL
+    # pivot of x_i), and minus its product with h is the center of x_i
+    inv_rows = [np.linalg.inv(gram[i:, i:].astype(np.float64))[0]
+                for i in range(n - 1)]
+
+    def descend(i, xs, q, h, partial):
+        if i == n - 1:
+            yield xs, q, h[:, 0]
+            return
+        w = inv_rows[i]
+        c = h @ w
+        radius = np.sqrt(np.maximum(bound - partial, 0.0) * w[0])
+        pad = 1e-7 * (1.0 + np.abs(c))
+        lo = np.ceil(-c - radius - pad).astype(np.int64)
+        hi = np.floor(-c + radius + pad).astype(np.int64)
+        ends = np.cumsum(np.maximum(hi - lo + 1, 0))
+        b = 0
+        while b < len(lo):
+            # the next parents whose children fit in one block
+            e = int(np.searchsorted(ends, (ends[b - 1] if b else 0)
+                                    + _WALK_ROWS, "right"))
+            e = max(e, b + 1)
+            rep, xi = _expand(lo[b:e], hi[b:e])
+            rep += b
+            y = xi + c[rep]
+            hb = h[rep]
+            qb = q[rep] + xi * (gram[i, i] * xi + 2 * hb[:, 0])
+            hb = hb[:, 1:]
+            for k in np.flatnonzero(gram[i, i + 1 :]):
+                hb[:, k] += gram[i, i + 1 + k] * xi
+            xb = None
+            if xs is not None:
+                xb = xs[rep]
+                xb[:, i] = xi
+            yield from descend(i + 1, xb, qb, hb,
+                               partial[rep] + y * y / w[0])
+            b = e
+
+    yield from descend(0, np.zeros((1, n), dtype=np.int16) if coords else None,
+                       np.zeros(1, dtype=np.int64),
+                       np.zeros((1, n), dtype=np.int64), np.zeros(1))
+
+
+def _enumerate_array(gram: np.ndarray, max_norm: int):
     """All vectors x with x^T G x <= max_norm, sorted by (norm, lex coords).
 
-    Quadratic-completion enumeration: coordinates are generated from the last
-    to the first inside the exact interval allowed by the LDL form of G, with
-    small float padding; an exact integer norm filter runs at the end, so the
-    float arithmetic can only overproduce candidates, never lose solutions.
+    The prefix walk (`_prefix_walk`) fills every coordinate but the last;
+    the last one, x, ranges over the exact integer interval of
+    a x^2 + 2 h x + q <= max_norm (a = G_ll), whose ends come from `_isqrt`.
+    The norms are therefore exact integers and need no filter, and the
+    walk's lexicographic order leaves one stable sort by norm.  Memory is
+    the walk's bounded state plus the result (rank + 8 bytes per vector,
+    twice while sorting).  Coordinates outside int16 (in the walk) or int8
+    (in the result) raise LatticeError, a discriminant at or above 2**52
+    ArithmeticError.
     """
+    gram = np.asarray(gram, dtype=np.int64)
     n = gram.shape[0]
     if max_norm < 0:
         raise ValueError("max_norm must be >= 0")
-    lmat, d = _unit_ldl(gram)
-    bound = float(max_norm) + 0.25
-    # partial prefixes: coordinates i+1..n-1 filled
-    xs = np.zeros((1, n), dtype=np.int16)
-    partial = np.zeros(1, dtype=np.float64)
-    for i in range(n - 1, -1, -1):
-        center = xs[:, i + 1 :].astype(np.float64) @ lmat[i + 1 :, i]
-        radius = np.sqrt(np.maximum(bound - partial, 0.0) / d[i])
-        pad = 1e-7 * (1.0 + np.abs(center))
-        lo = np.ceil(-center - radius - pad).astype(np.int64)
-        hi = np.floor(-center + radius + pad).astype(np.int64)
-        width = np.maximum(hi - lo + 1, 0)
-        total = int(width.sum())
-        rep = np.repeat(np.arange(len(xs)), width)
-        offs = np.arange(total) - np.repeat(np.cumsum(width) - width, width)
-        xi = lo[rep] + offs
-        if total and (xi.min() < -(1 << 15) or xi.max() >= 1 << 15):
-            raise LatticeError("coordinates exceed int16 range")
-        new_xs = xs[rep]
-        new_xs[:, i] = xi.astype(np.int16)
-        y = xi.astype(np.float64) + center[rep]
-        partial = partial[rep] + d[i] * y * y
-        xs = new_xs
-    del partial
-    # exact integer filter, chunked to bound the int64 temporaries
-    norms = np.empty(len(xs), dtype=np.int64)
-    for lo in range(0, len(xs), 500_000):
-        chunk = xs[lo : lo + 500_000].astype(np.int64)
-        norms[lo : lo + 500_000] = np.einsum("ij,jk,ik->i", chunk, gram, chunk)
-    keep = norms <= max_norm
-    xs, norms = xs[keep], norms[keep]
-    if len(xs) and int(np.abs(xs).max()) > 127:
-        raise LatticeError("coordinates exceed int8 range")  # not expected
-    xs = xs.astype(np.int8)
-    order = np.lexsort(tuple(xs[:, j] for j in range(n - 1, -1, -1)) + (norms,))
+    a = int(gram[n - 1, n - 1])
+    blocks, norms = [], []
+    for xs, q, h in _prefix_walk(gram, max_norm, coords=True):
+        disc = h * h - a * (q - max_norm)
+        r = _isqrt(np.maximum(disc, 0))
+        lo = -((h + r) // a)
+        hi = np.where(disc >= 0, (r - h) // a, lo - 1)
+        rep, xi = _expand(lo, hi)
+        xs = xs[rep]
+        xs[:, n - 1] = xi
+        if len(xs) and (xs.min() < -128 or xs.max() > 127):
+            raise LatticeError("coordinates exceed int8 range")  # not expected
+        blocks.append(xs.astype(np.int8))
+        norms.append(q[rep] + xi * (a * xi + 2 * h[rep]))
+    xs, norms = np.concatenate(blocks), np.concatenate(norms)
+    order = np.argsort(norms, kind="stable")
     return xs[order], norms[order]
+
+
+def _shell_counts(gram: np.ndarray, max_norm: int) -> dict:
+    """{m: #{x : x^T G x = m}} for even m <= max_norm, without building x.
+
+    Runs the prefix walk of `_enumerate_array` without coordinates and
+    counts the last coordinate of each prefix: the integer roots x of
+    a x^2 + 2 h x + q = m (a = G_ll) are x = (-h +- r) / a, where
+    r^2 = h^2 - a (q - m) must be a perfect square, checked exactly by
+    `_isqrt` (which raises ArithmeticError at or above 2**52 instead of
+    rounding), and r = +-h mod a.  Memory is the walk's bounded state; no
+    vector exists.
+    """
+    gram = np.asarray(gram, dtype=np.int64)
+    n = gram.shape[0]
+    a = int(gram[n - 1, n - 1])
+    counts = dict.fromkeys(range(0, max_norm + 1, 2), 0)
+    for _, q, h in _prefix_walk(gram, max_norm, coords=False):
+        base = h * h - a * q              # the discriminant at m is base + a m
+        live = base + a * max_norm >= 0
+        h, base = h[live], base[live]
+        h_plus, h_minus = h % a, -h % a
+        for m in counts:
+            disc = base + a * m
+            ok = disc >= 0
+            r = _isqrt(np.where(ok, disc, 0))
+            ok &= r * r == disc
+            rm = r % a
+            counts[m] += int(np.count_nonzero(ok & (rm == h_plus))) + \
+                int(np.count_nonzero(ok & (r > 0) & (rm == h_minus)))
+    return counts
 
 
 _SHELL_CACHE: dict = {}
 
 
-def short_vector_shells(lat: Lattice, max_norm: int) -> dict:
-    """Vectors of norm <= max_norm grouped by norm, as int8 arrays.
-
-    Results are cached per lattice; a request below an already-computed bound
-    reuses the stored arrays.
-    """
+def _check_norm(max_norm: int):
     if max_norm < 0 or max_norm % 2 != 0:
         raise ValueError("max_norm must be a non-negative even integer")
+
+
+def _cached_shells(lat: Lattice, max_norm: int):
+    """The stored shells up to max_norm, cut from a larger run if needed,
+    or None."""
     ck = (lat.gram, max_norm)
     got = _SHELL_CACHE.get(ck)
     if got is not None:
         return got
-    # reuse a larger cached run if present
     for (gram, bound), shells in _SHELL_CACHE.items():
         if gram == lat.gram and bound >= max_norm:
             sub = {m: v for m, v in shells.items() if m <= max_norm}
             _SHELL_CACHE[ck] = sub
             return sub
-    xs, norms = _enumerate_array(lat.gram_array, max_norm)
-    shells = {
-        m: xs[norms == m] for m in range(0, max_norm + 1, 2)
-    }
-    _SHELL_CACHE[ck] = shells
+    return None
+
+
+def short_vector_shells(lat: Lattice, max_norm: int) -> dict:
+    """Vectors of norm <= max_norm grouped by norm, as int8 arrays.
+
+    Built by `_enumerate_array`, the walk that `shell_sizes` shares; each
+    shell is sorted lexicographically and costs rank bytes per vector.
+    Results are cached per lattice; a request below an already-computed
+    bound reuses the stored arrays.
+    """
+    _check_norm(max_norm)
+    shells = _cached_shells(lat, max_norm)
+    if shells is None:
+        xs, norms = _enumerate_array(lat.gram_array, max_norm)
+        shells = {m: xs[norms == m] for m in range(0, max_norm + 1, 2)}
+        _SHELL_CACHE[(lat.gram, max_norm)] = shells
     return shells
+
+
+def shell_sizes(lat: Lattice, max_norm: int) -> dict:
+    """{m: number of vectors of norm m} for even m <= max_norm.
+
+    Exact and count-only: the last coordinate is counted, never built
+    (`_shell_counts`), so memory stays at the prefix walk's bounded state
+    and no vector array exists.  If `short_vector_shells` already holds a
+    run up to max_norm or beyond, its lengths are returned instead.  Counts
+    are not memoized here.
+    """
+    _check_norm(max_norm)
+    shells = _cached_shells(lat, max_norm)
+    if shells is not None:
+        return {m: len(v) for m, v in shells.items()}
+    return _shell_counts(lat.gram_array, max_norm)
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 
 from conftest import load_schema
-from schottky_workbench import schottky
+from schottky_workbench import cli, lattices, schottky
 from schottky_workbench.cache import ENV_CACHE_PATH
 from schottky_workbench.cli import main, parse_tau
 from schottky_workbench.expansion import SiegelPoint
@@ -42,6 +42,41 @@ def test_lattice_enum(capsys):
                     "--max-norm", "4")
     assert code == 0
     assert doc["shell_sizes"] == {"0": 1, "2": 240, "4": 2160}
+    jsonschema.validate(doc, load_schema("lattice-enum.schema.json"))
+    code, doc = run(capsys, "lattice-enum", "--lattice", "E8",
+                    "--max-norm", "4", "--vectors")
+    assert code == 0
+    assert [len(doc["vectors"][m]) for m in "024"] == [1, 240, 2160]
+    jsonschema.validate(doc, load_schema("lattice-enum.schema.json"))
+
+
+@pytest.mark.parametrize("lattice,max_norm", [("E8", "8"), ("D16plus", "4")])
+def test_lattice_enum_sizes_count_only(capsys, monkeypatch, lattice,
+                                       max_norm):
+    # without --vectors the sizes are counted, never materialized; with it
+    # they are the lengths of the built shells, and the two agree
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lattice-enum built shells without --vectors")
+
+    monkeypatch.setattr(lattices, "_SHELL_CACHE", {})
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "short_vector_shells", forbidden)
+        code, counted = run(capsys, "lattice-enum", "--lattice", lattice,
+                            "--max-norm", max_norm)
+    assert code == 0 and "vectors" not in counted
+    jsonschema.validate(counted, load_schema("lattice-enum.schema.json"))
+    code, built = run(capsys, "lattice-enum", "--lattice", lattice,
+                      "--max-norm", max_norm, "--vectors")
+    assert code == 0
+    assert counted["shell_sizes"] == built["shell_sizes"]
+    assert {m: len(v) for m, v in built["vectors"].items()} == \
+        built["shell_sizes"]
+
+
+def test_lattice_enum_rejects_odd_norm(capsys):
+    code, doc = run(capsys, "lattice-enum", "--lattice", "E8",
+                    "--max-norm", "3")
+    assert code == 2 and "error" in doc
 
 
 def test_theta_coeffs_and_schema(capsys):
@@ -125,11 +160,17 @@ def test_cache_stats_and_verify(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_CACHE_PATH, str(cache_path))
     run(capsys, "theta-coeffs", "--lattice", "E8", "--genus", "1",
         "--max-trace", "4")
+    schema = load_schema("cache-stats.schema.json")
+    code, doc = run(capsys, "cache-stats")
+    assert code == 0
+    assert doc["entries"] == 3 and doc["path"] == str(cache_path)
+    jsonschema.validate(doc, schema)
     code, doc = run(capsys, "cache-stats", "--verify-cache",
                     "--fraction", "1.0")
     assert code == 0
     assert doc["entries"] == 3
     assert doc["mismatches"] == []
+    jsonschema.validate(doc, schema)
 
 
 def test_usage_error_is_machine_readable(capsys, tmp_path):

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from schottky_workbench import counting, indices as idx
+from schottky_workbench import counting, indices as idx, lattices
 from schottky_workbench.cache import CountCache
 from schottky_workbench.counting import CountEngine, representation_count
 from schottky_workbench.lattices import short_vector_shells
@@ -30,6 +30,19 @@ def test_genus1_counts_match_shell_sizes(e8):
     shells = short_vector_shells(e8, 8)
     for m in (0, 2, 4, 6, 8):
         assert eng.count(((m,),)) == len(shells[m])
+
+
+def test_genus1_counts_never_build_shells(d16, monkeypatch):
+    # a genus-1 count is a shell size, counted without materializing
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a genus-1 count built a shell")
+
+    monkeypatch.setattr(counting, "short_vector_shells", forbidden)
+    monkeypatch.setattr(lattices, "_SHELL_CACHE", {})
+    eng = CountEngine(d16)
+    assert eng.count(((6,),)) == 1050240
+    assert eng.count(((6, 0), (0, 0))) == 1050240     # zero-slot reduction
+    assert lattices._SHELL_CACHE == {}
 
 
 def test_genus2_counts_match_naive_loop(e8):

@@ -1,19 +1,25 @@
 """Lattice construction and short-vector enumeration.
 
-The oracle below works in ambient R^n coordinates (integer vectors with even
+The first oracle works in ambient R^n coordinates (integer vectors with even
 coordinate sum, plus the all-half-integers coset where it exists), so it is
-independent of the Gram-basis enumeration under test.
+independent of the Gram-basis enumeration under test.  The others are the
+earlier enumerator (full candidate arrays from LDL intervals, then an exact
+norm filter and a lexicographic sort), a brute-force box enumeration, and
+the Eisenstein series of weight 4 and 8.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from schottky_workbench import lattices
 from schottky_workbench.lattices import (Lattice, LatticeError,
                                          UnsupportedLatticeError,
-                                         _enumerate_array, build_lattice,
-                                         direct_sum, lattice_by_id,
+                                         _enumerate_array, _shell_counts,
+                                         build_lattice, direct_sum,
+                                         lattice_by_id, shell_sizes,
                                          short_vector_shells)
 
 
@@ -146,3 +152,182 @@ def test_enumeration_refuses_int16_coordinates():
         _enumerate_array(np.array([[2]]), 2 * 32768 ** 2)
     with pytest.raises(LatticeError, match="int8"):
         _enumerate_array(np.array([[2]]), 2 * 32767 ** 2)
+
+
+def _enumerate_array_reference(gram, max_norm):
+    """The earlier materializing enumerator, kept as an oracle: every
+    candidate of the padded LDL intervals (last coordinate first), an exact
+    int64 norm filter, then a sort by (norm, lexicographic coordinates)."""
+    n = gram.shape[0]
+    c = np.linalg.cholesky(gram.astype(np.float64))
+    dsq = np.diag(c)
+    lmat, d = c / dsq, dsq * dsq
+    bound = float(max_norm) + 0.25
+    xs = np.zeros((1, n), dtype=np.int16)
+    partial = np.zeros(1, dtype=np.float64)
+    for i in range(n - 1, -1, -1):
+        center = xs[:, i + 1 :].astype(np.float64) @ lmat[i + 1 :, i]
+        radius = np.sqrt(np.maximum(bound - partial, 0.0) / d[i])
+        pad = 1e-7 * (1.0 + np.abs(center))
+        lo = np.ceil(-center - radius - pad).astype(np.int64)
+        hi = np.floor(-center + radius + pad).astype(np.int64)
+        width = np.maximum(hi - lo + 1, 0)
+        total = int(width.sum())
+        rep = np.repeat(np.arange(len(xs)), width)
+        offs = np.arange(total) - np.repeat(np.cumsum(width) - width, width)
+        xi = lo[rep] + offs
+        new_xs = xs[rep]
+        new_xs[:, i] = xi.astype(np.int16)
+        y = xi.astype(np.float64) + center[rep]
+        partial = partial[rep] + d[i] * y * y
+        xs = new_xs
+    wide = xs.astype(np.int64)
+    norms = np.einsum("ij,jk,ik->i", wide, gram, wide)
+    keep = norms <= max_norm
+    xs, norms = xs[keep].astype(np.int8), norms[keep]
+    keys = tuple(xs[:, j] for j in range(n - 1, -1, -1)) + (norms,)
+    order = np.lexsort(keys)
+    return xs[order], norms[order]
+
+
+def _box_reach(gram, max_norm):
+    """Bounds |x_i| <= sqrt(max_norm (G^-1)_ii) of the ellipsoid
+    x^T G x <= max_norm."""
+    reach = np.sqrt(max_norm * np.diag(np.linalg.inv(gram))) + 1e-9
+    return reach.astype(np.int64)
+
+
+def _random_even_grams(seed, count):
+    """(G, max_norm) for positive definite even integer Gram matrices of
+    rank 2-5: 2 A^T A for a random integer A of full rank, with max_norm
+    the largest diagonal entry, kept when the box oracle below holds at
+    most 2**18 points."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(2, 6))
+        a = rng.integers(-2, 3, size=(n, n))
+        if round(abs(np.linalg.det(a))) == 0:
+            continue
+        gram = 2 * a.T @ a
+        max_norm = int(np.diag(gram).max())
+        if np.prod(2 * _box_reach(gram, max_norm) + 1) <= 1 << 18:
+            out.append((gram, max_norm))
+    return out
+
+
+def _box_enumeration(gram, max_norm):
+    """Every x of the box around the ellipsoid x^T G x <= max_norm with
+    norm <= max_norm, sorted by (norm, lexicographic coordinates)."""
+    axes = [np.arange(-r, r + 1) for r in _box_reach(gram, max_norm)]
+    box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    box = box.reshape(-1, gram.shape[0])           # lexicographic order
+    norms = np.einsum("ij,jk,ik->i", box, gram, box)
+    keep = np.flatnonzero(norms <= max_norm)
+    keep = keep[np.argsort(norms[keep], kind="stable")]
+    return box[keep], norms[keep]
+
+
+def _assert_same_arrays(got, want):
+    assert got[0].dtype == want[0].dtype == np.int8
+    assert got[1].dtype == want[1].dtype == np.int64
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("name,max_norm",
+                         [("E8", 8), ("D16plus", 4), ("E8E8", 4)])
+def test_enumeration_matches_reference(name, max_norm):
+    gram = lattice_by_id(name).gram_array
+    _assert_same_arrays(_enumerate_array(gram, max_norm),
+                        _enumerate_array_reference(gram, max_norm))
+
+
+def test_enumeration_blocks_match_reference(monkeypatch):
+    # blocks of 3 prefixes: every level is cut many times
+    gram = lattice_by_id("E8").gram_array
+    want = _enumerate_array_reference(gram, 6)
+    counts = {m: int((want[1] == m).sum()) for m in range(0, 7, 2)}
+    monkeypatch.setattr(lattices, "_WALK_ROWS", 3)
+    _assert_same_arrays(_enumerate_array(gram, 6), want)
+    assert _shell_counts(gram, 6) == counts
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_enumeration_random_grams_match_oracles(seed):
+    for gram, max_norm in _random_even_grams(seed, 3):
+        got = _enumerate_array(gram, max_norm)
+        _assert_same_arrays(got, _enumerate_array_reference(gram, max_norm))
+        xs, norms = _box_enumeration(gram, max_norm)
+        assert np.array_equal(got[0], xs) and np.array_equal(got[1], norms)
+        assert _shell_counts(gram, max_norm) == {
+            m: int((norms == m).sum()) for m in range(0, max_norm + 1, 2)}
+
+
+def _sigma(k, n):
+    return sum(d ** k for d in range(1, n + 1) if n % d == 0)
+
+
+def _eisenstein(rank, m):
+    """Vectors of norm m in an even unimodular lattice of rank 8 or 16:
+    the coefficients of E_4 and E_8 = E_4^2."""
+    if m == 0:
+        return 1
+    return {8: 240 * _sigma(3, m // 2), 16: 480 * _sigma(7, m // 2)}[rank]
+
+
+@pytest.mark.parametrize("name,max_norm",
+                         [("E8", 12), ("D16plus", 6), ("E8E8", 6)])
+def test_shell_sizes_match_materialized_and_eisenstein(name, max_norm,
+                                                       monkeypatch):
+    lat = lattice_by_id(name)
+    monkeypatch.setattr(lattices, "_SHELL_CACHE", {})  # force the count path
+    sizes = shell_sizes(lat, max_norm)
+    assert lattices._SHELL_CACHE == {}   # counting memoizes nothing
+    _, norms = _enumerate_array(lat.gram_array, max_norm)
+    assert sizes == {m: int((norms == m).sum())
+                     for m in range(0, max_norm + 1, 2)}
+    assert sizes == {m: _eisenstein(lat.rank, m)
+                     for m in range(0, max_norm + 1, 2)}
+
+
+def test_shell_sizes_reuse_built_shells(e8, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("shell_sizes recounted cached shells")
+
+    shells = short_vector_shells(e8, 8)
+    monkeypatch.setattr(lattices, "_shell_counts", forbidden)
+    assert shell_sizes(e8, 6) == {m: len(shells[m]) for m in (0, 2, 4, 6)}
+    with pytest.raises(ValueError):
+        shell_sizes(e8, 5)
+
+
+def test_isqrt_is_exact_below_its_bound():
+    top = lattices._SQRT_EXACT - 1
+    edge = [0, 1, 2, 3, 4, 15, 16, 17, top, top - 1, (1 << 26) - 1,
+            ((1 << 26) - 1) ** 2, ((1 << 26) - 1) ** 2 - 1,
+            ((1 << 26) - 2) ** 2 + 1]
+    rng = np.random.default_rng(0)
+    edge += [int(v) for v in rng.integers(0, lattices._SQRT_EXACT, 1000)]
+    got = lattices._isqrt(np.array(edge, dtype=np.int64))
+    assert got.tolist() == [math.isqrt(v) for v in edge]
+    with pytest.raises(ArithmeticError):
+        lattices._isqrt(np.array([lattices._SQRT_EXACT], dtype=np.int64))
+
+
+def test_count_only_step_refuses_inexact_sqrt(e8, monkeypatch):
+    # the rank-1 form 2x^2 has one prefix (q = h = 0); its largest
+    # discriminant up to norm 8 is 2 * 8 = 16
+    form = np.array([[2]])
+    monkeypatch.setattr(lattices, "_SQRT_EXACT", 16)
+    with pytest.raises(ArithmeticError):
+        _shell_counts(form, 8)
+    with pytest.raises(ArithmeticError):
+        _enumerate_array(form, 8)
+    monkeypatch.setattr(lattices, "_SQRT_EXACT", 17)
+    assert _shell_counts(form, 8) == {0: 1, 2: 2, 4: 0, 6: 0, 8: 2}
+    assert _enumerate_array(form, 8)[0].ravel().tolist() == [0, -1, 1, -2, 2]
+    monkeypatch.setattr(lattices, "_SQRT_EXACT", 1)
+    monkeypatch.setattr(lattices, "_SHELL_CACHE", {})
+    with pytest.raises(ArithmeticError):
+        shell_sizes(e8, 2)
