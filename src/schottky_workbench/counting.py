@@ -20,9 +20,9 @@ from .lattices import Lattice, shell_sizes, short_vector_shells
 
 # pair-Gram matrices above this many entries are not materialized
 _PAIR_GRAM_LIMIT = 60_000_000
-# float64 work-block budget (entries) for building pair-Gram matrices and
-# for the blockwise histograms
-_BLOCK_ENTRIES = 4_000_000
+# float64 work-block budget (entries, 4 MiB) for building pair-Gram matrices
+# and for the streamed histograms
+_BLOCK_ENTRIES = 1 << 19
 # float32 represents every integer below 2**24 exactly
 _F32_EXACT = 1 << 24
 
@@ -50,7 +50,7 @@ def _pair_gram(lat: Lattice, n1: int, n2: int):
     rows = max(1, _BLOCK_ENTRIES // len(v2))
     for lo in range(0, len(v1), rows):
         block = v1[lo : lo + rows].astype(np.float64) @ right
-        out[lo : lo + rows] = np.rint(block).astype(np.int8)
+        out[lo : lo + rows] = np.rint(block, out=block)
     _pair_gram_cache[key] = out
     if n1 != n2:
         _pair_gram_cache[(lat.gram, n2, n1)] = out.T
@@ -123,38 +123,31 @@ class CountEngine:
             # a shell size: counted, the shell itself is never built
             return shell_sizes(self.lattice, s[0][0])[s[0][0]]
         if g == 2:
-            return self._count_pair(s[0][0], s[1][1], s[0][1])
+            return self._pair_histogram(s[0][0], s[1][1]).get(s[0][1], 0)
         return self._count_dfs(s)
 
     # -- genus 2: one histogram covers every off-diagonal value ----------
 
-    def _count_pair(self, d1: int, d2: int, want: int) -> int:
-        hist = self._pair_histogram(d1, d2)
-        return hist.get(want, 0)
-
     def _pair_histogram(self, d1: int, d2: int) -> dict:
+        """Histogram of <x, y> over the norm-d1 x norm-d2 shell pairs,
+        streamed in blocks: the pair-Gram matrix is never held whole."""
         hk = ("hist", self.lattice.gram, d1, d2)
         got = _pair_gram_cache.get(hk)
         if got is not None:
             return got
         shells = short_vector_shells(self.lattice, max(d1, d2))
         v1, v2 = shells[d1], shells[d2]
-        bound = math.isqrt(d1 * d2)
-        off = bound
-        pg = _pair_gram(self.lattice, d1, d2)
-        if pg is None:
-            right = self.lattice.gram_array.astype(np.float64) \
-                @ v2.T.astype(np.float64)
-        counts = np.zeros(2 * bound + 1, dtype=np.int64)
+        off = math.isqrt(d1 * d2)
+        right = self.lattice.gram_array.astype(np.float64) \
+            @ v2.T.astype(np.float64)
+        counts = np.zeros(2 * off + 1, dtype=np.int64)
         rows = max(1, _BLOCK_ENTRIES // max(1, len(v2)))
         for lo in range(0, len(v1), rows):
-            if pg is not None:
-                block = pg[lo : lo + rows].astype(np.int64)
-            else:
-                block = v1[lo : lo + rows].astype(np.float64) @ right
-                block = np.rint(block, out=block).astype(np.int64)
+            block = v1[lo : lo + rows].astype(np.float64) @ right
             block += off
-            counts += np.bincount(block.ravel(), minlength=2 * bound + 1)
+            np.rint(block, out=block)
+            counts += np.bincount(block.astype(np.intp).ravel(),
+                                  minlength=2 * off + 1)
         hist = {t - off: int(c) for t, c in enumerate(counts)}
         _pair_gram_cache[hk] = hist
         return hist

@@ -3,17 +3,22 @@ the Siegel operator, derivative polynomials and numerical evaluation.
 
 A FourierExpansion stores an exact coefficient for *every* enumerated index
 of trace <= max_trace, so "known zero" and "beyond truncation" stay distinct.
+It holds the shared index table of (genus, max_trace) plus one aligned
+column of exact coefficients, so arithmetic, the Siegel operator and the
+numerical sums are array operations over the table.
 Derivative prefactors (pi*i)^d are carried symbolically as an integer power
 and only materialized at evaluation time.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -103,10 +108,17 @@ class EvalResult:
 
 
 class FourierExpansion:
-    """Exact truncated Fourier expansion: genus, weight, trace bound, and a
-    total coefficient map over the enumerated index set."""
+    """Exact truncated Fourier expansion: genus, weight, trace bound, the
+    shared `table` = indices.index_table(g, max_trace) and `column`, one
+    exact coefficient (a Python int or Fraction, in a read-only object
+    array) per table row.  `coeffs` is the derived {index: value} view.
 
-    def __init__(self, g: int, weight: int, max_trace: int, coeffs: dict,
+    The constructor takes such a mapping or a sequence aligned with the
+    table.  Only mapping keys that miss the table's row map are validated;
+    an index inside the truncation that the mapping omits is stored as 0.
+    """
+
+    def __init__(self, g: int, weight: int, max_trace: int, coeffs,
                  prefactor_power: int = 0):
         if max_trace < 0 or max_trace % 2 != 0:
             raise ValueError("max_trace must be a non-negative even integer")
@@ -114,59 +126,66 @@ class FourierExpansion:
         self.weight = weight
         self.max_trace = max_trace
         self.prefactor_power = prefactor_power
-        norm = {}
-        for key, val in coeffs.items():
-            s = idx.validate_index(key)
-            if idx.trace(s) > max_trace:
-                raise ValueError("coefficient index beyond max_trace")
-            norm[s] = val
-        self._coeffs = MappingProxyType(norm)
+        self.table = idx.index_table(g, max_trace)
+        column = np.zeros(len(self.table.keys), dtype=object)
+        if isinstance(coeffs, Mapping):
+            for key, val in coeffs.items():
+                column[self._row(key, ValueError)] = val
+        elif len(coeffs) == len(column):
+            column[:] = coeffs
+        else:
+            raise ValueError("column length differs from the index table")
+        column.setflags(write=False)
+        self.column = column
 
-    @property
+    def _row(self, key, beyond) -> int:
+        """Table row of an index; only a key that misses the row map is
+        validated, and one beyond the truncation raises `beyond`."""
+        try:
+            return self.table.rows[key]
+        except (KeyError, TypeError):   # a miss, or a list or an array
+            s = idx.validate_index(key)
+        if s not in self.table.rows:
+            raise beyond(f"{s} is not a genus-{self.g} index of trace <= "
+                         f"{self.max_trace}")
+        return self.table.rows[s]
+
+    @cached_property
     def coeffs(self):
-        return self._coeffs
+        return MappingProxyType(dict(zip(self.table.keys, self.column)))
 
     def coefficient(self, key):
         """Exact coefficient at the index; absent keys within the truncation
         are zero, beyond it they raise TruncationError."""
-        s = idx.validate_index(key)
-        if idx.trace(s) > self.max_trace:
-            raise TruncationError(f"index has trace {idx.trace(s)} beyond "
-                                  f"truncation {self.max_trace}")
-        return self._coeffs.get(s, 0)
+        return self.column[self._row(key, TruncationError)]
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self._coeffs.values())
-
-    def support(self):
-        return sorted((s for s, v in self._coeffs.items() if v != 0),
-                      key=lambda s: (idx.trace(s), idx.upper_triangle(s)))
+        return not np.any(self.column != 0)
 
     # -- arithmetic -------------------------------------------------------
 
-    def _check_compatible(self, other):
+    def _combine(self, other, op):
+        """op on the two columns over the common truncation: the smaller
+        trace's table is a prefix of the larger one's."""
         if self.g != other.g or self.weight != other.weight \
                 or self.prefactor_power != other.prefactor_power:
             raise IncompatibleExpansionError(
                 "expansions differ in genus, weight or prefactor")
+        mt = min(self.max_trace, other.max_trace)
+        k = len(idx.index_table(self.g, mt).keys)
+        return FourierExpansion(self.g, self.weight, mt,
+                                op(self.column[:k], other.column[:k]),
+                                self.prefactor_power)
 
     def __add__(self, other):
-        self._check_compatible(other)
-        mt = min(self.max_trace, other.max_trace)
-        keys = {s for s in self._coeffs if idx.trace(s) <= mt}
-        keys |= {s for s in other._coeffs if idx.trace(s) <= mt}
-        return FourierExpansion(
-            self.g, self.weight, mt,
-            {s: self._coeffs.get(s, 0) + other._coeffs.get(s, 0) for s in keys},
-            self.prefactor_power)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self._combine(other, operator.sub)
 
     def scale(self, c):
-        return FourierExpansion(
-            self.g, self.weight, self.max_trace,
-            {s: c * v for s, v in self._coeffs.items()}, self.prefactor_power)
+        return FourierExpansion(self.g, self.weight, self.max_trace,
+                                c * self.column, self.prefactor_power)
 
     def __eq__(self, other):
         if not isinstance(other, FourierExpansion):
@@ -174,9 +193,7 @@ class FourierExpansion:
         if (self.g, self.weight, self.max_trace, self.prefactor_power) != \
                 (other.g, other.weight, other.max_trace, other.prefactor_power):
             return False
-        keys = set(self._coeffs) | set(other._coeffs)
-        return all(self._coeffs.get(s, 0) == other._coeffs.get(s, 0)
-                   for s in keys)
+        return bool(np.all(self.column == other.column))
 
     def __hash__(self):
         return hash((self.g, self.weight, self.max_trace))
@@ -185,9 +202,9 @@ class FourierExpansion:
 
     def to_json(self) -> dict:
         entries = []
-        for s in sorted(self._coeffs,
+        for s in sorted(self.table.keys,
                         key=lambda s: (idx.trace(s), idx.upper_triangle(s))):
-            a = self._coeffs[s]
+            a = self.column[self.table.rows[s]]
             if not isinstance(a, int):
                 raise ValueError("only integer coefficients serialize")
             entries.append({"S": idx.upper_triangle(s), "a": str(a)})
@@ -225,26 +242,20 @@ class FourierExpansion:
 
 
 def zero_expansion(g: int, weight: int, max_trace: int) -> FourierExpansion:
-    return FourierExpansion(g, weight, max_trace,
-                            {s: 0 for s in idx.enumerate_indices(g, max_trace)})
+    return FourierExpansion(g, weight, max_trace, {})
 
 
 def siegel_operator(f: FourierExpansion) -> FourierExpansion:
     """Drop one genus: the new coefficient at S1 is the old one at S1 + [0].
 
-    Weight and truncation are preserved.
+    Weight and truncation are preserved.  The rows whose last row and column
+    vanish are, in order, the genus-(g-1) table, so this is one row mask.
     """
     if f.g < 2:
         raise IncompatibleExpansionError("siegel operator needs genus >= 2")
-    g = f.g - 1
-    coeffs = {}
-    for s, v in f.coeffs.items():
-        if any(s[g][q] != 0 for q in range(g + 1)):
-            continue
-        minor = tuple(tuple(s[p][q] for q in range(g)) for p in range(g))
-        coeffs[minor] = v
-    return FourierExpansion(g, f.weight, f.max_trace, coeffs,
-                            f.prefactor_power)
+    bordered = ~f.table.mats[:, -1, :].any(axis=1)
+    return FourierExpansion(f.g - 1, f.weight, f.max_trace,
+                            f.column[bordered], f.prefactor_power)
 
 
 class DerivativePolynomial:
@@ -287,15 +298,16 @@ class DerivativePolynomial:
         p, q = min(p, q), max(p, q)
         return cls(g, {(((p, q), 1),): Fraction(1)})
 
-    def evaluate_at(self, entries) -> Fraction:
-        """Value of the polynomial at a concrete symmetric integer matrix."""
-        s = idx.as_entries(entries)
-        total = Fraction(0)
+    def evaluate_rows(self, mats) -> np.ndarray:
+        """Exact values (an object column of Fractions) of the polynomial at
+        each matrix of a K x g x g integer array."""
+        ent = np.asarray(mats).astype(object)
+        total = np.full(len(ent), Fraction(0), dtype=object)
         for mono, coef in self.terms.items():
-            val = coef
+            val = np.full(len(ent), coef, dtype=object)
             for (p, q), e in mono:
-                val *= Fraction(s[p][q]) ** e
-            total += val
+                val = val * ent[:, p, q] ** e
+            total = total + val
         return total
 
     def __add__(self, other):
@@ -330,27 +342,16 @@ def apply_derivative(f: FourierExpansion,
     prefactor is tracked on the result, not applied numerically."""
     if n.g != f.g:
         raise IncompatibleExpansionError("derivative genus mismatch")
-    coeffs = {}
-    for s, a in f.coeffs.items():
-        val = n.evaluate_at(s) * a
-        if val.denominator == 1:
-            val = int(val)
-        coeffs[s] = val
-    return FourierExpansion(f.g, f.weight, f.max_trace, coeffs,
-                            f.prefactor_power + n.degree)
+    vals = n.evaluate_rows(f.table.mats) * f.column
+    return FourierExpansion(
+        f.g, f.weight, f.max_trace,
+        [int(v) if v.denominator == 1 else v for v in vals],
+        f.prefactor_power + n.degree)
 
 
-def _phase_trace(s, tau, g: int = None) -> complex:
-    """sum_{p,q} S_pq tau_pq over the leading g x g block (default: all of
-    S), diagonal once and off-diagonal twice, for an index and a tau
-    matrix."""
-    n = len(s) if g is None else g
-    total = 0j
-    for p in range(n):
-        total += s[p][p] * complex(tau[p][p])
-        for q in range(p + 1, n):
-            total += 2 * s[p][q] * complex(tau[p][q])
-    return total
+def _tr_products(mats: np.ndarray, m) -> np.ndarray:
+    """tr(S m) for every S of a K x g x g array and a symmetric matrix m."""
+    return np.einsum("kpq,pq->k", mats, m)
 
 
 def evaluate(f: FourierExpansion, point: SiegelPoint,
@@ -358,34 +359,36 @@ def evaluate(f: FourierExpansion, point: SiegelPoint,
     """sum over stored indices of a(S) exp(pi*i*tr(S tau)).
 
     The symbolic prefactor is *not* folded in; it is reported on the result.
-    With `precision` set, the sum runs in mpmath at that many decimal digits.
+    With `precision` set, the sum runs in mpmath at that many decimal
+    digits, each phase formed in mpmath from the integer entries of S.
     """
     if point.g != f.g:
         raise IncompatibleExpansionError("point genus mismatch")
-    lam = point.im_min_eig
-    boundary = sum(abs(v) for s, v in f.coeffs.items()
-                   if idx.trace(s) == f.max_trace)
-    tail = math.exp(-math.pi * lam * (f.max_trace + 2)) * float(boundary)
-    tau = point.tau
-    if precision is not None:
-        import mpmath as mp
-        with mp.workdps(precision):
-            total = mp.mpc(0)
-            pii = mp.pi * 1j
-            for s, a in f.coeffs.items():
-                if a == 0:
-                    continue
-                ph = _phase_trace(s, tau)
-                total += (mp.mpf(a.numerator) / a.denominator
-                          if isinstance(a, Fraction) else mp.mpf(a)) \
-                    * mp.exp(pii * mp.mpc(ph))
-            return EvalResult(value=total, tail_estimate=tail,
-                              prefactor_power=f.prefactor_power)
-    total = 0j
-    for s, a in f.coeffs.items():
-        if a == 0:
-            continue
-        total += float(a) * cmath.exp(1j * math.pi * _phase_trace(s, tau))
+    on_boundary = np.einsum("kpp->k", f.table.mats) == f.max_trace
+    boundary = np.abs(f.column[on_boundary]).sum()
+    tail = math.exp(-math.pi * point.im_min_eig * (f.max_trace + 2)) \
+        * float(boundary)
+    nonzero = f.column != 0
+    mats, col = f.table.mats[nonzero], f.column[nonzero]
+    if precision is None:
+        # summed exactly rounded: finite differences of evaluate (the
+        # derivative identity check) divide its rounding error by their step
+        terms = col.astype(float) * np.exp(
+            1j * math.pi * _tr_products(mats, point.matrix))
+        value = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        return EvalResult(value=value, tail_estimate=tail,
+                          prefactor_power=f.prefactor_power)
+    import mpmath as mp
+    with mp.workdps(precision):
+        tau = [[mp.mpc(z) for z in row] for row in point.tau]
+        pii = mp.mpc(0, mp.pi)
+        total = mp.mpc(0)
+        for s, a in zip(mats.tolist(), col):
+            ph = mp.fsum(s[p][q] * tau[p][q]
+                         for p in range(f.g) for q in range(f.g))
+            wt = mp.mpf(a.numerator) / a.denominator \
+                if isinstance(a, Fraction) else mp.mpf(a)
+            total += wt * mp.exp(pii * ph)
     return EvalResult(value=total, tail_estimate=tail,
                       prefactor_power=f.prefactor_power)
 

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import indices as idx
 from .expansion import (DerivativePolynomial, DomainError, FourierExpansion,
                         IncompatibleExpansionError, SiegelPoint,
-                        _phase_trace, apply_derivative, evaluate)
+                        _tr_products, apply_derivative, evaluate)
 
 TWO_PI_I = 2j * math.pi
 
@@ -143,6 +142,16 @@ def period_matrix_first_order(data: DegenerationData, t: complex) -> np.ndarray:
     return out
 
 
+def _nonzero_rows(f: FourierExpansion, n: DerivativePolynomial):
+    """The table rows S with a(S) N(S) != 0, and those products as floats."""
+    nonzero = f.column != 0
+    mats = f.table.mats[nonzero]
+    wts = f.column[nonzero].astype(float) \
+        * n.evaluate_rows(mats).astype(float)
+    keep = wts != 0
+    return mats[keep], wts[keep]
+
+
 def coefficient_A(f: FourierExpansion, n: DerivativePolynomial,
                   tau: SiegelPoint, sigma) -> complex:
     """A = sum over stored indices S of
@@ -156,19 +165,10 @@ def coefficient_A(f: FourierExpansion, n: DerivativePolynomial,
     sig = np.asarray(sigma, dtype=complex)
     if sig.shape != (f.g, f.g):
         raise ValueError("sigma must be a g x g matrix")
-    tm = tau.matrix
-    total = 0j
-    for s, a in f.coeffs.items():
-        if a == 0:
-            continue
-        nv = n.evaluate_at(s)
-        if nv == 0:
-            continue
-        phase_sigma = _phase_trace(s, sig, f.g)
-        phase_tau = _phase_trace(s, tm, f.g)
-        total += float(a) * float(nv) * (1j * math.pi * phase_sigma) \
-            * cmath.exp(1j * math.pi * phase_tau)
-    return total
+    mats, wts = _nonzero_rows(f, n)
+    pii = 1j * math.pi
+    return complex(wts @ (pii * _tr_products(mats, sig)
+                          * np.exp(pii * _tr_products(mats, tau.matrix))))
 
 
 def coefficient_B(f_next: FourierExpansion, n_next: DerivativePolynomial,
@@ -180,22 +180,15 @@ def coefficient_B(f_next: FourierExpansion, n_next: DerivativePolynomial,
     g = f_next.g - 1
     if n_next.g != f_next.g or tau.g != g:
         raise IncompatibleExpansionError("genus mismatch")
-    ajv = [complex(z) for z in aj]
+    ajv = np.array([complex(z) for z in aj])
     if len(ajv) != g:
         raise ValueError("aj must have length g")
-    tm = tau.matrix
-    total = 0j
-    for s, a in f_next.coeffs.items():
-        if a == 0 or s[g][g] != 2:
-            continue
-        nv = n_next.evaluate_at(s)
-        if nv == 0:
-            continue
-        border_phase = sum(s[p][g] * ajv[p] for p in range(g))
-        total += float(a) * float(nv) \
-            * cmath.exp(TWO_PI_I * border_phase) \
-            * cmath.exp(1j * math.pi * _phase_trace(s, tm, g))
-    return total
+    mats, wts = _nonzero_rows(f_next, n_next)
+    corner = mats[:, g, g] == 2
+    mats, wts = mats[corner], wts[corner]
+    return complex(wts @ (np.exp(TWO_PI_I * (mats[:, :g, g] @ ajv))
+                          * np.exp(1j * math.pi * _tr_products(
+                              mats[:, :g, :g], tau.matrix))))
 
 
 @dataclass(frozen=True)
@@ -271,8 +264,7 @@ def scaling_law_check(f: FourierExpansion, n: DerivativePolynomial,
     """A computed from sigma(lambda v_a, mu v_b) factors as D * lambda * mu
     with D independent of the pair; also recomputes B-irrelevant data: the
     ratios A/(lambda mu) must agree across the sample."""
-    ratios = []
-    values = {}
+    ratios, a_values = [], []
     for lam, mu in pairs:
         lam, mu = complex(lam), complex(mu)
         if lam == 0 or mu == 0:
@@ -281,7 +273,7 @@ def scaling_law_check(f: FourierExpansion, n: DerivativePolynomial,
                            mu * np.asarray(v_b, dtype=complex))
         a_val = coefficient_A(f, n, tau, sig)
         ratios.append(a_val / (lam * mu))
-        values[(lam, mu)] = a_val
+        a_values.append(a_val)
     d = ratios[0]
     scale = max(abs(r) for r in ratios)
     spread = max(abs(r - d) for r in ratios)
@@ -292,8 +284,7 @@ def scaling_law_check(f: FourierExpansion, n: DerivativePolynomial,
         details={"D": _pair(d),
                  "pairs": [[_pair(complex(l)), _pair(complex(m))]
                            for l, m in pairs],
-                 "A_values": [_pair(values[(complex(l), complex(m))])
-                              for l, m in pairs]})
+                 "A_values": [_pair(a) for a in a_values]})
 
 
 def corner_exponential_check(data: DegenerationData, t: complex,

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 
 class InvalidIndexError(ValueError):
@@ -25,7 +28,7 @@ def as_entries(mat) -> tuple:
     return rows
 
 
-def validate_index(entries, require_psd: bool = True) -> tuple:
+def validate_index(entries) -> tuple:
     """Check the GramTarget/IndexMatrix invariants; return normalized entries."""
     s = as_entries(entries)
     g = len(s)
@@ -37,13 +40,19 @@ def validate_index(entries, require_psd: bool = True) -> tuple:
         for q in range(p):
             if s[p][q] != s[q][p]:
                 raise InvalidIndexError("matrix must be symmetric")
-    if require_psd and not is_psd(s):
+    if not is_psd(s):
         raise InvalidIndexError("matrix must be positive semi-definite")
     return s
 
 
 def is_psd(entries) -> bool:
-    """Exact positive semi-definiteness in integer arithmetic.
+    """Exact positive semi-definiteness in integer arithmetic."""
+    return psd_pivots(entries) is not None
+
+
+def psd_pivots(entries):
+    """The pivots of an exact symmetric elimination, or None if the matrix
+    is not positive semi-definite.
 
     Symmetric Gaussian elimination with diagonal pivots: a negative pivot is
     a witness against psd; a zero pivot forces its whole row to vanish.  The
@@ -52,19 +61,22 @@ def is_psd(entries) -> bool:
     division is exact (Bareiss), it keeps the entries as small as minors, and
     the trailing block stays p_prev times the rational Schur complement, so
     signs and zero pattern, hence the verdict, are those of the rational
-    elimination.
+    elimination.  When no pivot is zero, pivot k is the leading principal
+    minor of order k + 1, so the last pivot is the determinant.
     """
     m = [list(row) for row in as_entries(entries)]
     g = len(m)
     prev = 1
+    pivots = []
     for k in range(g):
         p = m[k][k]
         if p < 0:
-            return False
+            return None
+        pivots.append(p)
         row = m[k]
         if p == 0:
             if any(row[j] != 0 for j in range(k + 1, g)):
-                return False
+                return None
             continue
         for i in range(k + 1, g):
             mi = m[i]
@@ -72,7 +84,7 @@ def is_psd(entries) -> bool:
             for j in range(k + 1, g):
                 mi[j] = (p * mi[j] - f * row[j]) // prev
         prev = p
-    return True
+    return pivots
 
 
 def trace(entries) -> int:
@@ -156,6 +168,26 @@ def enumerate_indices(g: int, max_trace: int) -> tuple:
     out.sort(key=lambda s: (trace(s), tuple(s[p][p] for p in range(g)),
                             tuple(upper_triangle(s))))
     return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
+class IndexTable:
+    """enumerate_indices(g, max_trace) as `keys`, a read-only K x g x g int64
+    array `mats` and a key -> row map `rows`.  Every key in `rows` is valid,
+    and a smaller trace's table is a prefix of a larger one's."""
+
+    keys: tuple
+    mats: np.ndarray
+    rows: dict
+
+
+@lru_cache(maxsize=None)
+def index_table(g: int, max_trace: int) -> IndexTable:
+    """The memoized IndexTable of (g, max_trace): one per process."""
+    keys = enumerate_indices(g, max_trace)
+    mats = np.array(keys, dtype=np.int64).reshape(len(keys), g, g)
+    mats.setflags(write=False)
+    return IndexTable(keys, mats, {s: r for r, s in enumerate(keys)})
 
 
 def transform(entries, u) -> tuple:

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .indices import is_psd
+from .indices import psd_pivots
 
 
 class LatticeError(ValueError):
@@ -53,28 +53,6 @@ D16PLUS_GRAM = tuple(tuple(row) for row in _D16)
 del _D16, _i
 
 
-def _bareiss_det(mat) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    a = [list(map(int, row)) for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 @dataclass(frozen=True)
 class Lattice:
     """An even unimodular positive definite lattice, given by a Gram matrix."""
@@ -93,10 +71,11 @@ class Lattice:
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise LatticeError("gram matrix must be symmetric")
-        # psd with determinant 1 is positive definite
-        if not is_psd(g):
+        pivots = psd_pivots(g)
+        if pivots is None:
             raise LatticeError("gram matrix must be positive definite")
-        if _bareiss_det(g) != 1:
+        # no zero pivot and a last pivot (the determinant) of 1
+        if 0 in pivots or pivots[-1] != 1:
             raise LatticeError("gram matrix must be unimodular")
 
     @property

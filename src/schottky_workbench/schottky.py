@@ -32,10 +32,9 @@ def nonzero_report(g: int, max_trace: int, cache=None) -> dict:
     verify_vanishing and first_nonzero_index are views of this report.
     """
     diff = schottky_expansion(g, max_trace, cache=cache)
+    keys = idx.index_table(g, max_trace).keys
     nonzero = []
-    checked = 0
-    for s in idx.enumerate_indices(g, max_trace):
-        checked += 1
+    for s in keys:
         v = diff.coefficient(s)
         if v != 0:
             nonzero.append({"S": idx.upper_triangle(s), "a": str(v)})
@@ -43,7 +42,7 @@ def nonzero_report(g: int, max_trace: int, cache=None) -> dict:
         "genus": g,
         "max_trace": max_trace,
         "status": "zero" if not nonzero else "nonzero",
-        "checked": checked,
+        "checked": len(keys),
         "nonzero_indices": nonzero,
     }
 
@@ -75,7 +74,7 @@ def verify_vanishing(g: int, max_trace: int, cache=None) -> dict:
         "genus": g,
         "max_trace": max_trace,
         "status": "fail",
-        "checked": idx.enumerate_indices(g, max_trace).index(s) + 1,
+        "checked": idx.index_table(g, max_trace).rows[s] + 1,
         "counterexample": {
             "S": idx.upper_triangle(s),
             "difference": str(v),

@@ -27,9 +27,9 @@ def theta_expansion(lat: Lattice, g: int, max_trace: int,
     Gram matrix S.
     """
     engine = CountEngine(lat, cache)
-    coeffs = {s: engine.count(s) for s in idx.enumerate_indices(g, max_trace)}
+    keys = idx.index_table(g, max_trace).keys
     return FourierExpansion(g=g, weight=lat.rank // 2, max_trace=max_trace,
-                            coeffs=coeffs)
+                            coeffs=[engine.count(s) for s in keys])
 
 
 def default_norm_budget(max_trace: int) -> int:
@@ -85,14 +85,16 @@ def theta_eval(lat: Lattice, g: int, point: SiegelPoint,
     Independent numerical oracle: it sums over actual lattice vectors from
     short_vector_shells and never consults representation counts, pair
     histograms or stored expansions.  Genus 1 is a closed sum over shell
-    sizes.  From genus 2 on, the first g - 2 slots are walked vector by
-    vector and the last two are summed per pair of shell norms (m1, m2) in
-    one blockwise operation: the integer inner products <x, y> of a block of
-    the norm-m1 shell against the whole norm-m2 shell are binned (weighted,
-    from genus 3, by the phases the earlier slots give each row and column)
-    and the bins are dotted with the phase table exp(2 pi i tau t),
-    |t| <= isqrt(m1 m2).  A pair with a norm-0 shell is a product of two row
-    sums.
+    sizes, read from the built shells and not from lattices.shell_sizes:
+    that count-only walk serves the series side, and the direct path stays
+    independent of it.  From genus 2 on, the first g - 2 slots are walked
+    vector by vector and the last two are summed per pair of shell norms
+    (m1, m2) in one blockwise operation: the integer inner products <x, y>
+    of a block of the norm-m1 shell against the whole norm-m2 shell are
+    binned (weighted, from genus 3, by the phases the earlier slots give
+    each row and column) and the bins are dotted with the phase table
+    exp(2 pi i tau t), |t| <= isqrt(m1 m2).  A pair with a norm-0 shell is a
+    product of two row sums.
 
     Memory: a block holds at most _BLOCK_ENTRIES = 2**15 pairs, so its
     temporaries stay under 1 MB beside the shells.  Exactness: the inner

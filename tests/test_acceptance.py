@@ -3,7 +3,9 @@ PASS/FAIL line with its measured numbers.
 
 The suite shares a single fresh (cold) count cache; later criteria reuse the
 counts computed by earlier ones, which is why the tests are numbered and run
-in order.
+in order.  The last test reuses them too: it holds the columnar expansion
+layer to its per-coefficient reference loops on the genus-4 Schottky
+difference.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+import expansion_reference as ref
 from schottky_workbench import indices as idx
 from schottky_workbench.cache import CountCache
 from schottky_workbench.counting import CountEngine
@@ -227,3 +230,9 @@ def test_criterion_10_property_suite(cache):
     _report(10, gl_ok and phi_ok and ser_ok and cache_ok and elapsed < 300,
             f"GL-invariance, Phi-linearity, round-trip, cache/recompute "
             f"equality all exact ({elapsed:.0f}s)")
+
+
+def test_columnar_layer_on_the_schottky_difference(cache):
+    f4 = schottky_expansion(4, 8, cache=cache)
+    ref.assert_matches_reference(f4)
+    ref.assert_b_matches_reference(f4)

@@ -1,0 +1,117 @@
+"""The columnar expansion layer: shared index tables, one exact coefficient
+column per expansion, and validation only for keys the table misses.
+
+The per-coefficient loops in expansion_reference are the oracle; the genus-4
+Schottky difference is checked the same way in the acceptance suite, which
+already holds its counts.
+"""
+
+from fractions import Fraction
+
+import mpmath as mp
+import pytest
+
+import expansion_reference as ref
+from schottky_workbench import indices as idx
+from schottky_workbench.expansion import (FourierExpansion, SiegelPoint,
+                                          TruncationError, evaluate)
+from schottky_workbench.theta import theta_expansion
+
+
+@pytest.fixture(scope="module")
+def e8_thetas(e8):
+    return {g: theta_expansion(e8, g, 8) for g in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_columnar_layer_matches_reference(e8_thetas, g):
+    ref.assert_matches_reference(e8_thetas[g])
+    if g >= 2:
+        ref.assert_b_matches_reference(e8_thetas[g])
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_tables_are_prefixes_and_phi_is_a_row_mask(g):
+    for top in (8, 10):
+        full = idx.index_table(g, top)
+        for t in range(0, top, 2):
+            assert idx.index_table(g, t).keys == \
+                full.keys[:len(idx.index_table(g, t).keys)]
+        if g >= 2:
+            bordered = [s for s in full.keys
+                        if not any(s[g - 1][q] for q in range(g))]
+            minors = tuple(tuple(row[: g - 1] for row in s[: g - 1])
+                           for s in bordered)
+            assert minors == idx.index_table(g - 1, top).keys
+
+
+def test_table_arrays_match_keys():
+    t = idx.index_table(3, 6)
+    assert t.mats.shape == (len(t.keys), 3, 3) and not t.mats.flags.writeable
+    assert [tuple(map(tuple, m)) for m in t.mats.tolist()] == list(t.keys)
+    assert all(t.rows[s] == r for r, s in enumerate(t.keys))
+
+
+def test_column_is_exact_and_read_only(e8_thetas):
+    f = e8_thetas[2]
+    assert f.column.dtype == object and len(f.column) == len(f.table.keys)
+    assert all(type(a) is int for a in f.column)
+    assert all(type(a) is Fraction for a in f.scale(Fraction(1, 3)).column)
+    big = f.scale(2**70) + f
+    assert big.coefficient(((2, 0), (0, 0))) == 240 * (2**70 + 1)
+    assert f.table is idx.index_table(2, 8)
+    with pytest.raises(ValueError):
+        f.column[0] = 1
+
+
+def test_table_hits_are_not_validated(e8_thetas, monkeypatch):
+    f = e8_thetas[3]
+    calls = []
+    real = idx.validate_index
+
+    def counting(key, *args, **kwargs):
+        calls.append(key)
+        return real(key, *args, **kwargs)
+
+    monkeypatch.setattr(idx, "validate_index", counting)
+    for s in f.table.keys:
+        f.coefficient(s)
+    FourierExpansion(3, 4, 8, dict(f.coeffs))
+    assert FourierExpansion.loads(f.dumps()) == f
+    f - f.scale(2)
+    assert calls == []
+    # a key that misses the row map is validated once
+    assert f.coefficient([[2, 0, 0], [0, 0, 0], [0, 0, 0]]) == 240
+    assert len(calls) == 1
+
+
+def test_invalid_and_truncated_keys_still_raise(e8_thetas):
+    f = e8_thetas[2]
+    for bad in (((1, 0), (0, 2)),          # odd diagonal
+                ((2, 3), (3, 2)),          # not psd
+                ((2, 1), (0, 2))):         # not symmetric
+        with pytest.raises(idx.InvalidIndexError):
+            f.coefficient(bad)
+        with pytest.raises(idx.InvalidIndexError):
+            FourierExpansion(2, 4, 8, {bad: 1})
+    beyond = ((6, 0), (0, 4))
+    with pytest.raises(TruncationError):
+        f.coefficient(beyond)
+    with pytest.raises(ValueError):
+        FourierExpansion(2, 4, 8, {beyond: 1})
+    with pytest.raises(ValueError):
+        FourierExpansion(2, 4, 8, [1, 2, 3])
+
+
+def test_high_precision_phases_are_formed_in_mpmath(e8_thetas):
+    f = e8_thetas[2]
+    point = SiegelPoint(2, ((0.1 + 1.1j, 0.3 + 0.2j),
+                            (0.3 + 0.2j, -0.2 + 1.3j)))
+    with mp.workdps(60):
+        tau = [[mp.mpc(z) for z in row] for row in point.tau]
+        want = mp.fsum(
+            a * mp.exp(mp.mpc(0, mp.pi) * mp.fsum(
+                s[p][q] * tau[p][q] for p in range(2) for q in range(2)))
+            for s, a in f.coeffs.items())
+        got = evaluate(f, point, precision=50).value
+        assert abs(got - want) <= mp.mpf("1e-40") * abs(want)

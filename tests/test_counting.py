@@ -167,21 +167,19 @@ def test_representation_count_helper(e8):
 
 
 def test_pair_histogram_blocking_is_exact(e8, monkeypatch):
-    def histogram(limit, block):
+    def histogram(block):
         monkeypatch.setattr(counting, "_pair_gram_cache", {})
-        monkeypatch.setattr(counting, "_PAIR_GRAM_LIMIT", limit)
         monkeypatch.setattr(counting, "_BLOCK_ENTRIES", block)
         return CountEngine(e8)._pair_histogram(4, 2)
 
-    want = histogram(60_000_000, 4_000_000)  # one materialized block
+    want = histogram(4_000_000)  # one streamed block
     shells = short_vector_shells(e8, 4)
     ips = collections.Counter(
         int(v) for x in shells[4].astype(np.int64)
         for v in shells[2].astype(np.int64) @ (e8.gram_array @ x))
     assert want == {t: ips.get(t, 0) for t in range(-2, 3)}
-    # 4-row blocks of the materialized matrix, and of the streamed products
-    assert histogram(60_000_000, 1000) == want
-    assert histogram(0, 1000) == want
+    # 4-row blocks of the streamed products
+    assert histogram(1000) == want
 
 
 def test_pair_gram_refuses_int8_overflow(e8):

@@ -116,8 +116,9 @@ def test_derivative_polynomial_algebra():
     x12 = DerivativePolynomial.variable(2, 1, 0)  # normalizes to (0, 1)
     prod = x11 * x12 + DerivativePolynomial.constant(2, 3)
     assert prod.degree == 2 and not prod.is_homogeneous()
-    assert prod.evaluate_at(((2, 1), (1, 4))) == 2 * 1 + 3
-    assert (x11 * x11).evaluate_at(((2, 0), (0, 0))) == 4
+    assert list(prod.evaluate_rows([((2, 1), (1, 4)), ((0, 0), (0, 2))])) \
+        == [2 * 1 + 3, 3]
+    assert (x11 * x11).evaluate_rows([((2, 0), (0, 0))])[0] == 4
 
 
 def test_apply_derivative_matches_finite_difference(theta1):
