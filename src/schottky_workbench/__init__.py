@@ -16,8 +16,8 @@ from .indices import (border_zero_forced, canonical_signed_perm,
                       enumerate_indices, from_upper_triangle, is_psd,
                       upper_triangle, validate_index)
 from .lattices import (Lattice, LatticeError, UnsupportedLatticeError,
-                       build_lattice, direct_sum, e8e8, lattice_by_id,
-                       shell_sizes, short_vector_shells)
+                       direct_sum, lattice_by_id, shell_sizes,
+                       short_vector_shells)
 from .schottky import (first_nonzero_index, nonzero_report,
                        schottky_expansion, verify_vanishing)
 from .theta import default_norm_budget, theta_eval, theta_expansion
@@ -30,9 +30,9 @@ __all__ = [
     "FourierExpansion", "IncompatibleExpansionError", "Lattice",
     "LatticeError", "LimitReport", "SiegelPoint",
     "TruncationError", "UnsupportedLatticeError", "apply_derivative",
-    "border_zero_forced", "build_lattice", "cache_from_env",
+    "border_zero_forced", "cache_from_env",
     "canonical_signed_perm", "coefficient_A", "coefficient_B",
-    "default_norm_budget", "derivative_identity_check", "direct_sum", "e8e8",
+    "default_norm_budget", "derivative_identity_check", "direct_sum",
     "enumerate_indices", "evaluate", "fay_check",
     "first_nonzero_index", "from_upper_triangle", "is_psd",
     "lattice_by_id", "nonzero_report", "period_matrix_first_order",

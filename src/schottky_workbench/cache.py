@@ -137,7 +137,8 @@ class CountCache:
 
 
 def cache_from_env(path=None) -> CountCache:
-    """Build a cache from an explicit path or the environment variable."""
+    """Build a cache from an explicit path or the environment variable; an
+    empty variable counts as unset."""
     if path is None:
-        path = os.environ.get(ENV_CACHE_PATH)
+        path = os.environ.get(ENV_CACHE_PATH) or None
     return CountCache(path)

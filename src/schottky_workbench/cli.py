@@ -2,7 +2,8 @@
 
 Every subcommand prints one JSON document on standard output.  Exit codes:
 0 success / verification passed, 1 verification failed (the JSON carries the
-counterexample), 2 usage or input error (the JSON is an error object).
+counterexample), 2 usage or input error, including an unusable cache file
+(the JSON is an error object).
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def cmd_eval(args, cache) -> int:
     budget = args.budget if args.budget is not None \
         else default_norm_budget(args.max_trace)
     f = theta_expansion(lat, args.genus, args.max_trace, cache=cache)
-    from_series = evaluate(f, point, precision=args.precision)
+    from_series = evaluate(f, point)
     direct = theta_eval(lat, args.genus, point, budget)
     a, b = complex(from_series.value), complex(direct.value)
     diff = abs(a - b)
@@ -257,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                         'identity) or a JSON matrix of [re,im] pairs')
     p.add_argument("--budget", type=int, default=None,
                    help="norm budget of the direct sum (default 2*max_trace+4)")
-    p.add_argument("--precision", type=int, default=None,
-                   help="decimal digits for high-precision series evaluation")
     p.add_argument("--tolerance", type=float, default=1e-8)
     common(p)
     p.set_defaults(func=cmd_eval)
@@ -289,14 +288,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    cache = cache_from_env(args.cache)
     try:
-        return args.func(args, cache)
+        return args.func(args, cache_from_env(args.cache))
     except UsageError as exc:
         json.dump({"error": str(exc)}, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return EXIT_USAGE
-    except (ValueError, KeyError, DomainError) as exc:
+    except (ValueError, KeyError, DomainError, OSError) as exc:
         json.dump({"error": f"{type(exc).__name__}: {exc}"}, sys.stdout,
                   indent=2)
         sys.stdout.write("\n")

@@ -26,15 +26,28 @@ _BLOCK_ENTRIES = 1 << 19
 # float32 represents every integer below 2**24 exactly
 _F32_EXACT = 1 << 24
 
-_pair_gram_cache: dict = {}
+
+def _ip_blocks(gram: np.ndarray, v1: np.ndarray, v2: np.ndarray):
+    """Yield (row offset, block) over the rounded products V1 G V2^T.
+
+    Each float64 block holds at most _BLOCK_ENTRIES entries, exact integers
+    of int8 coordinates and a small Gram matrix.  theta._ip_histogram keeps
+    its own loop on purpose: the direct sum is this path's independent
+    oracle.
+    """
+    right = gram.astype(np.float64) @ v2.T.astype(np.float64)
+    rows = max(1, _BLOCK_ENTRIES // max(1, len(v2)))
+    for lo in range(0, len(v1), rows):
+        block = v1[lo : lo + rows].astype(np.float64) @ right
+        yield lo, np.rint(block, out=block)
 
 
 def _pair_gram(lat: Lattice, n1: int, n2: int):
     """Cross inner-product matrix between the norm-n1 and norm-n2 shells,
-    or None if it would be too large to hold."""
-    key = (lat.gram, n1, n2)
-    if key in _pair_gram_cache:
-        return _pair_gram_cache[key]
+    or None if it would be too large to hold; kept in the lattice's store."""
+    store = lat._store["pair_grams"]
+    if (n1, n2) in store:
+        return store[(n1, n2)]
     if math.isqrt(n1 * n2) > 127:
         raise OverflowError(
             f"inner products of norms {n1} and {n2} can exceed the int8 "
@@ -42,18 +55,14 @@ def _pair_gram(lat: Lattice, n1: int, n2: int):
     shells = short_vector_shells(lat, max(n1, n2))
     v1, v2 = shells[n1], shells[n2]
     if v1.size == 0 or v2.size == 0 or len(v1) * len(v2) > _PAIR_GRAM_LIMIT:
-        _pair_gram_cache[key] = None
+        store[(n1, n2)] = None
         return None
-    g = lat.gram_array.astype(np.float64)
-    right = g @ v2.T.astype(np.float64)
     out = np.empty((len(v1), len(v2)), dtype=np.int8)
-    rows = max(1, _BLOCK_ENTRIES // len(v2))
-    for lo in range(0, len(v1), rows):
-        block = v1[lo : lo + rows].astype(np.float64) @ right
-        out[lo : lo + rows] = np.rint(block, out=block)
-    _pair_gram_cache[key] = out
+    for lo, block in _ip_blocks(lat.gram_array, v1, v2):
+        out[lo : lo + len(block)] = block
+    store[(n1, n2)] = out
     if n1 != n2:
-        _pair_gram_cache[(lat.gram, n2, n1)] = out.T
+        store[(n2, n1)] = out.T
     return out
 
 
@@ -84,7 +93,7 @@ class CountEngine:
         self.calls += 1
         key_m = idx.canonical_signed_perm(s)
         key = index_key(len(key_m), idx.upper_triangle(key_m))
-        lid = self.lattice.key()
+        lid = self.lattice.name
         got = self.cache.get(lid, key)
         if got is not None:
             return got
@@ -130,26 +139,23 @@ class CountEngine:
 
     def _pair_histogram(self, d1: int, d2: int) -> dict:
         """Histogram of <x, y> over the norm-d1 x norm-d2 shell pairs,
-        streamed in blocks: the pair-Gram matrix is never held whole."""
-        hk = ("hist", self.lattice.gram, d1, d2)
-        got = _pair_gram_cache.get(hk)
-        if got is not None:
-            return got
+        streamed in blocks: the pair-Gram matrix is never held whole.
+        Kept in the lattice's store."""
+        store = self.lattice._store["histograms"]
+        if (d1, d2) in store:
+            return store[(d1, d2)]
         shells = short_vector_shells(self.lattice, max(d1, d2))
-        v1, v2 = shells[d1], shells[d2]
         off = math.isqrt(d1 * d2)
-        right = self.lattice.gram_array.astype(np.float64) \
-            @ v2.T.astype(np.float64)
         counts = np.zeros(2 * off + 1, dtype=np.int64)
-        rows = max(1, _BLOCK_ENTRIES // max(1, len(v2)))
-        for lo in range(0, len(v1), rows):
-            block = v1[lo : lo + rows].astype(np.float64) @ right
+        # <x, y> is symmetric: the longer shell runs in blocks, so the
+        # right-hand factor G V2^T is formed from the shorter one
+        v1, v2 = sorted((shells[d1], shells[d2]), key=len, reverse=True)
+        for _, block in _ip_blocks(self.lattice.gram_array, v1, v2):
             block += off
-            np.rint(block, out=block)
             counts += np.bincount(block.astype(np.intp).ravel(),
                                   minlength=2 * off + 1)
         hist = {t - off: int(c) for t, c in enumerate(counts)}
-        _pair_gram_cache[hk] = hist
+        store[(d1, d2)] = hist
         return hist
 
     # -- genus >= 3: pruned DFS with a vectorized two-slot tail ----------

@@ -214,7 +214,7 @@ class CheckReport:
 
 
 def _directional_derivative(f: FourierExpansion, tau: SiegelPoint, sigma,
-                            step: float, precision=None) -> complex:
+                            step: float) -> complex:
     """Central difference in t of evaluate(f, tau + t*sigma) at t = 0, with
     one Richardson extrapolation step."""
     tm = tau.matrix
@@ -222,7 +222,7 @@ def _directional_derivative(f: FourierExpansion, tau: SiegelPoint, sigma,
 
     def at(t: float) -> complex:
         point = SiegelPoint(f.g, tuple(map(tuple, tm + t * sig)))
-        return complex(evaluate(f, point, precision=precision).value)
+        return complex(evaluate(f, point).value)
 
     def central(h: float) -> complex:
         return (at(h) - at(-h)) / (2 * h)
@@ -233,17 +233,15 @@ def _directional_derivative(f: FourierExpansion, tau: SiegelPoint, sigma,
 
 
 def derivative_identity_check(f: FourierExpansion, n: DerivativePolynomial,
-                              tau: SiegelPoint, sigma,
-                              tolerance: float = 1e-6, step: float = 1e-4,
-                              precision=None) -> CheckReport:
+                              tau: SiegelPoint, sigma, tolerance: float = 1e-6,
+                              step: float = 1e-4) -> CheckReport:
     """Verify that A equals the t-derivative at 0 of N(F)(tau + t*sigma).
 
     The right-hand side is a finite difference of the truncated evaluation,
     so sigma is confirmed to be a tangent direction of the form up to the
     stated tolerance."""
     lhs = coefficient_A(f, n, tau, sigma)
-    rhs = _directional_derivative(apply_derivative(f, n), tau, sigma, step,
-                                  precision=precision)
+    rhs = _directional_derivative(apply_derivative(f, n), tau, sigma, step)
     abs_err = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs))
     rel_err = abs_err / scale if scale > 0 else 0.0

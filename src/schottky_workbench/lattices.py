@@ -7,7 +7,7 @@ integer coordinate tuple in the corresponding basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -55,11 +55,22 @@ del _D16, _i
 
 @dataclass(frozen=True)
 class Lattice:
-    """An even unimodular positive definite lattice, given by a Gram matrix."""
+    """An even unimodular positive definite lattice, given by a Gram matrix.
+
+    Each instance owns one private store of the data derived from its Gram
+    matrix: the int64 Gram array (`gram_array`, built once, read-only), the
+    one shell run of `short_vector_shells`, and the pair-Gram matrices
+    (keyed (n1, n2)) and genus-2 histograms (keyed (d1, d2)) of
+    `counting`.  The store takes no part in equality or hashing, and two
+    instances with equal Gram matrices do not share it; `lattice_by_id`
+    returns one instance per name, so its callers do.
+    """
 
     name: str
     rank: int
     gram: tuple
+    _store: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         g = self.gram
@@ -77,48 +88,27 @@ class Lattice:
         # no zero pivot and a last pivot (the determinant) of 1
         if 0 in pivots or pivots[-1] != 1:
             raise LatticeError("gram matrix must be unimodular")
+        gram = np.array(g, dtype=np.int64)
+        gram.flags.writeable = False
+        self._store.update(gram=gram, shells={}, pair_grams={},
+                           histograms={})
 
     @property
     def gram_array(self) -> np.ndarray:
-        return np.array(self.gram, dtype=np.int64)
-
-    def key(self) -> str:
-        return self.name
+        return self._store["gram"]
 
 
-SUPPORTED = {
-    "E8": (8, E8_GRAM),
-    "D16plus": (16, D16PLUS_GRAM),
-}
-
-
-def build_lattice(name: str) -> Lattice:
-    """Return one of the named even unimodular lattices (E8 or D16plus)."""
-    try:
-        rank, gram = SUPPORTED[name]
-    except KeyError:
-        raise UnsupportedLatticeError(
-            f"unsupported lattice {name!r}; supported: {sorted(SUPPORTED)}"
-        ) from None
-    return Lattice(name=name, rank=rank, gram=gram)
+def _block_sum(g1, g2) -> tuple:
+    """Block-diagonal Gram matrix of an orthogonal direct sum."""
+    n1, n2 = len(g1), len(g2)
+    return tuple(tuple(row) + (0,) * n2 for row in g1) + \
+        tuple((0,) * n1 + tuple(row) for row in g2)
 
 
 def direct_sum(l1: Lattice, l2: Lattice) -> Lattice:
     """Orthogonal direct sum, with block-diagonal Gram matrix."""
-    n1, n2 = l1.rank, l2.rank
-    gram = tuple(
-        tuple(l1.gram[i][j] if j < n1 else 0 for j in range(n1 + n2))
-        for i in range(n1)
-    ) + tuple(
-        tuple(0 if j < n1 else l2.gram[i - n1][j - n1] for j in range(n1 + n2))
-        for i in range(n1, n1 + n2)
-    )
-    return Lattice(name=f"{l1.name}+{l2.name}", rank=n1 + n2, gram=gram)
-
-
-def e8e8() -> Lattice:
-    ds = direct_sum(build_lattice("E8"), build_lattice("E8"))
-    return Lattice(name="E8E8", rank=ds.rank, gram=ds.gram)
+    return Lattice(name=f"{l1.name}+{l2.name}", rank=l1.rank + l2.rank,
+                   gram=_block_sum(l1.gram, l2.gram))
 
 
 # float64 sqrt of an integer below 2**52 is within 1 of its integer square
@@ -286,71 +276,67 @@ def _shell_counts(gram: np.ndarray, max_norm: int) -> dict:
     return counts
 
 
-_SHELL_CACHE: dict = {}
-
-
 def _check_norm(max_norm: int):
     if max_norm < 0 or max_norm % 2 != 0:
         raise ValueError("max_norm must be a non-negative even integer")
 
 
-def _cached_shells(lat: Lattice, max_norm: int):
-    """The stored shells up to max_norm, cut from a larger run if needed,
-    or None."""
-    ck = (lat.gram, max_norm)
-    got = _SHELL_CACHE.get(ck)
-    if got is not None:
-        return got
-    for (gram, bound), shells in _SHELL_CACHE.items():
-        if gram == lat.gram and bound >= max_norm:
-            sub = {m: v for m, v in shells.items() if m <= max_norm}
-            _SHELL_CACHE[ck] = sub
-            return sub
-    return None
+def _stored_shells(lat: Lattice, max_norm: int):
+    """The lattice's shell run cut at max_norm, or None if it stops short."""
+    run = lat._store["shells"]
+    if not run or max(run) < max_norm:
+        return None
+    return {m: v for m, v in run.items() if m <= max_norm}
 
 
 def short_vector_shells(lat: Lattice, max_norm: int) -> dict:
-    """Vectors of norm <= max_norm grouped by norm, as int8 arrays.
+    """Vectors of norm <= max_norm grouped by norm, as read-only int8 arrays.
 
     Built by `_enumerate_array`, the walk that `shell_sizes` shares; each
-    shell is sorted lexicographically and costs rank bytes per vector.
-    Results are cached per lattice; a request below an already-computed
-    bound reuses the stored arrays.
+    shell is sorted lexicographically and costs rank bytes per vector.  The
+    lattice's store keeps one run: a request at or below its bound returns
+    that run's arrays, and a request above it walks once at the new bound
+    and replaces the run.
     """
     _check_norm(max_norm)
-    shells = _cached_shells(lat, max_norm)
+    shells = _stored_shells(lat, max_norm)
     if shells is None:
         xs, norms = _enumerate_array(lat.gram_array, max_norm)
         shells = {m: xs[norms == m] for m in range(0, max_norm + 1, 2)}
-        _SHELL_CACHE[(lat.gram, max_norm)] = shells
+        for v in shells.values():
+            v.flags.writeable = False
+        lat._store["shells"] = shells
     return shells
 
 
 def shell_sizes(lat: Lattice, max_norm: int) -> dict:
     """{m: number of vectors of norm m} for even m <= max_norm.
 
-    Exact and count-only: the last coordinate is counted, never built
-    (`_shell_counts`), so memory stays at the prefix walk's bounded state
-    and no vector array exists.  If `short_vector_shells` already holds a
-    run up to max_norm or beyond, its lengths are returned instead.  Counts
-    are not memoized here.
+    If the lattice's shell run reaches max_norm, its lengths are returned.
+    Otherwise the sizes are exact and count-only: the last coordinate is
+    counted, never built (`_shell_counts`), so memory stays at the prefix
+    walk's bounded state, no vector array exists and the store is left as
+    it is.
     """
     _check_norm(max_norm)
-    shells = _cached_shells(lat, max_norm)
+    shells = _stored_shells(lat, max_norm)
     if shells is not None:
         return {m: len(v) for m, v in shells.items()}
     return _shell_counts(lat.gram_array, max_norm)
 
 
+# the lattice ids of the CLI and the cache
+_GRAMS = {
+    "E8": E8_GRAM,
+    "D16plus": D16PLUS_GRAM,
+    "E8E8": _block_sum(E8_GRAM, E8_GRAM),
+}
+
+
 @lru_cache(maxsize=None)
-def _named(name: str) -> Lattice:
-    if name == "E8E8":
-        return e8e8()
-    return build_lattice(name)
-
-
 def lattice_by_id(name: str) -> Lattice:
-    """Resolve a lattice id as used by the CLI and the cache (E8, D16plus, E8E8)."""
-    if name not in ("E8", "D16plus", "E8E8"):
+    """The one Lattice per id (E8, D16plus, E8E8), so callers share its
+    store."""
+    if name not in _GRAMS:
         raise UnsupportedLatticeError(f"unknown lattice id {name!r}")
-    return _named(name)
+    return Lattice(name=name, rank=len(_GRAMS[name]), gram=_GRAMS[name])

@@ -93,6 +93,8 @@ def test_cache_from_env(tmp_path, monkeypatch):
     assert path.exists()
     explicit = cache_from_env(tmp_path / "other.jsonl")
     assert explicit.path.endswith("other.jsonl")
+    monkeypatch.setenv(ENV_CACHE_PATH, "")     # empty means unset
+    assert cache_from_env().path is None
 
 
 def test_memory_only_cache():

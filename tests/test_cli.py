@@ -6,10 +6,11 @@ import jsonschema
 import pytest
 
 from conftest import load_schema
-from schottky_workbench import cli, lattices, schottky
+from schottky_workbench import cli, schottky
 from schottky_workbench.cache import ENV_CACHE_PATH
 from schottky_workbench.cli import main, parse_tau
 from schottky_workbench.expansion import SiegelPoint
+from schottky_workbench.lattices import Lattice, lattice_by_id
 
 
 def run(capsys, *argv):
@@ -58,12 +59,15 @@ def test_lattice_enum_sizes_count_only(capsys, monkeypatch, lattice,
     def forbidden(*args, **kwargs):
         raise AssertionError("lattice-enum built shells without --vectors")
 
-    monkeypatch.setattr(lattices, "_SHELL_CACHE", {})
+    named = lattice_by_id(lattice)
+    fresh = Lattice(named.name, named.rank, named.gram)    # an empty store
     with monkeypatch.context() as patch:
         patch.setattr(cli, "short_vector_shells", forbidden)
+        patch.setattr(cli, "lattice_by_id", {lattice: fresh}.__getitem__)
         code, counted = run(capsys, "lattice-enum", "--lattice", lattice,
                             "--max-norm", max_norm)
     assert code == 0 and "vectors" not in counted
+    assert fresh._store["shells"] == {}
     jsonschema.validate(counted, load_schema("lattice-enum.schema.json"))
     code, built = run(capsys, "lattice-enum", "--lattice", lattice,
                       "--max-norm", max_norm, "--vectors")
@@ -181,6 +185,10 @@ def test_usage_error_is_machine_readable(capsys, tmp_path):
     code = main(["siegel-phi", "--input", str(tmp_path / "absent.json")])
     out = json.loads(capsys.readouterr().out)
     assert code == 2 and "error" in out
+    code, doc = run(capsys, "theta-coeffs", "--lattice", "E8", "--genus", "1",
+                    "--max-trace", "2",
+                    "--cache", str(tmp_path / "absent" / "c.jsonl"))
+    assert code == 2 and "FileNotFoundError" in doc["error"]
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -6,10 +6,11 @@ import itertools
 import numpy as np
 import pytest
 
-from schottky_workbench import counting, indices as idx, lattices
+from schottky_workbench import counting, indices as idx
 from schottky_workbench.cache import CountCache
 from schottky_workbench.counting import CountEngine, representation_count
-from schottky_workbench.lattices import short_vector_shells
+from schottky_workbench.lattices import Lattice, short_vector_shells
+from schottky_workbench.theta import theta_expansion
 
 
 def _naive_pair_count(lat, d1, d2, want):
@@ -38,11 +39,11 @@ def test_genus1_counts_never_build_shells(d16, monkeypatch):
         raise AssertionError("a genus-1 count built a shell")
 
     monkeypatch.setattr(counting, "short_vector_shells", forbidden)
-    monkeypatch.setattr(lattices, "_SHELL_CACHE", {})
-    eng = CountEngine(d16)
+    lat = Lattice(d16.name, d16.rank, d16.gram)        # an empty store
+    eng = CountEngine(lat)
     assert eng.count(((6,),)) == 1050240
     assert eng.count(((6, 0), (0, 0))) == 1050240     # zero-slot reduction
-    assert lattices._SHELL_CACHE == {}
+    assert lat._store["shells"] == {}
 
 
 def test_genus2_counts_match_naive_loop(e8):
@@ -168,9 +169,9 @@ def test_representation_count_helper(e8):
 
 def test_pair_histogram_blocking_is_exact(e8, monkeypatch):
     def histogram(block):
-        monkeypatch.setattr(counting, "_pair_gram_cache", {})
         monkeypatch.setattr(counting, "_BLOCK_ENTRIES", block)
-        return CountEngine(e8)._pair_histogram(4, 2)
+        lat = Lattice(e8.name, e8.rank, e8.gram)       # no stored histogram
+        return CountEngine(lat)._pair_histogram(4, 2)
 
     want = histogram(4_000_000)  # one streamed block
     shells = short_vector_shells(e8, 4)
@@ -180,6 +181,17 @@ def test_pair_histogram_blocking_is_exact(e8, monkeypatch):
     assert want == {t: ips.get(t, 0) for t in range(-2, 3)}
     # 4-row blocks of the streamed products
     assert histogram(1000) == want
+
+
+def test_expansion_fills_one_store(e8):
+    lat = Lattice(e8.name, e8.rank, e8.gram)
+    theta_expansion(lat, 3, 8)
+    store = lat._store
+    assert sorted(store["shells"]) == [0, 2, 4, 6]      # one run, bound 6
+    assert sorted(store["histograms"]) == [(2, 2), (2, 4), (2, 6), (4, 4)]
+    assert store["pair_grams"][(4, 2)] is not None
+    assert (store["pair_grams"][(4, 2)] == store["pair_grams"][(2, 4)].T).all()
+    assert e8._store is not store
 
 
 def test_pair_gram_refuses_int8_overflow(e8):

@@ -9,3 +9,5 @@ def test_every_exported_name_resolves():
     assert missing == []
     assert len(set(schottky_workbench.__all__)) == \
         len(schottky_workbench.__all__)
+    # lattices are resolved by id only, so every caller shares one store
+    assert not {"build_lattice", "e8e8"} & set(dir(schottky_workbench))

@@ -18,9 +18,8 @@ from schottky_workbench import lattices
 from schottky_workbench.lattices import (Lattice, LatticeError,
                                          UnsupportedLatticeError,
                                          _enumerate_array, _shell_counts,
-                                         build_lattice, direct_sum,
-                                         lattice_by_id, shell_sizes,
-                                         short_vector_shells)
+                                         direct_sum, lattice_by_id,
+                                         shell_sizes, short_vector_shells)
 
 
 def _ambient_count(n: int, norm: int, with_halves: bool) -> int:
@@ -135,8 +134,6 @@ def test_lattice_validation_needs_definite_gram():
 
 
 def test_unknown_lattice_rejected():
-    with pytest.raises(UnsupportedLatticeError):
-        build_lattice("Leech")
     with pytest.raises(UnsupportedLatticeError):
         lattice_by_id("E7")
 
@@ -278,12 +275,11 @@ def _eisenstein(rank, m):
 
 @pytest.mark.parametrize("name,max_norm",
                          [("E8", 12), ("D16plus", 6), ("E8E8", 6)])
-def test_shell_sizes_match_materialized_and_eisenstein(name, max_norm,
-                                                       monkeypatch):
-    lat = lattice_by_id(name)
-    monkeypatch.setattr(lattices, "_SHELL_CACHE", {})  # force the count path
+def test_shell_sizes_match_materialized_and_eisenstein(name, max_norm):
+    named = lattice_by_id(name)
+    lat = Lattice(named.name, named.rank, named.gram)  # force the count path
     sizes = shell_sizes(lat, max_norm)
-    assert lattices._SHELL_CACHE == {}   # counting memoizes nothing
+    assert lat._store["shells"] == {}    # counting stores no run
     _, norms = _enumerate_array(lat.gram_array, max_norm)
     assert sizes == {m: int((norms == m).sum())
                      for m in range(0, max_norm + 1, 2)}
@@ -300,6 +296,36 @@ def test_shell_sizes_reuse_built_shells(e8, monkeypatch):
     assert shell_sizes(e8, 6) == {m: len(shells[m]) for m in (0, 2, 4, 6)}
     with pytest.raises(ValueError):
         shell_sizes(e8, 5)
+
+
+def test_one_shell_run_per_lattice(e8, monkeypatch):
+    lat = Lattice(e8.name, e8.rank, e8.gram)
+    short_vector_shells(lat, 6)
+    run = lat._store["shells"]
+    assert sorted(run) == [0, 2, 4, 6]
+
+    def forbidden(*args):
+        raise AssertionError("walked again below the built bound")
+
+    # a request at or below the bound is cut from the run
+    with monkeypatch.context() as patch:
+        patch.setattr(lattices, "_enumerate_array", forbidden)
+        cut = short_vector_shells(lat, 4)
+    fresh = short_vector_shells(Lattice(e8.name, e8.rank, e8.gram), 4)
+    assert sorted(cut) == sorted(fresh) == [0, 2, 4]
+    for m, v in cut.items():
+        assert v is run[m] and not v.flags.writeable
+        assert (v.dtype, v.shape) == (fresh[m].dtype, fresh[m].shape)
+        assert v.tobytes() == fresh[m].tobytes()
+    # a larger request replaces the run
+    short_vector_shells(lat, 8)
+    assert sorted(lat._store["shells"]) == [0, 2, 4, 6, 8]
+    assert lat._store["shells"][6].tobytes() == run[6].tobytes()
+    # equal Gram matrices, equal lattices, separate stores
+    twin = Lattice(e8.name, e8.rank, e8.gram)
+    assert twin == lat and hash(twin) == hash(lat)
+    assert twin._store["shells"] == {}
+    assert lattice_by_id("E8") is lattice_by_id("E8")
 
 
 def test_isqrt_is_exact_below_its_bound():
@@ -328,6 +354,5 @@ def test_count_only_step_refuses_inexact_sqrt(e8, monkeypatch):
     assert _shell_counts(form, 8) == {0: 1, 2: 2, 4: 0, 6: 0, 8: 2}
     assert _enumerate_array(form, 8)[0].ravel().tolist() == [0, -1, 1, -2, 2]
     monkeypatch.setattr(lattices, "_SQRT_EXACT", 1)
-    monkeypatch.setattr(lattices, "_SHELL_CACHE", {})
     with pytest.raises(ArithmeticError):
-        shell_sizes(e8, 2)
+        shell_sizes(Lattice(e8.name, e8.rank, e8.gram), 2)  # an empty store
