@@ -124,6 +124,8 @@ class CountCache:
     def verify_sample(self, recompute, fraction: float = 0.01, seed: int = 0):
         """Recompute a random sample of stored counts with `recompute(lattice_id,
         key)`; returns the list of mismatches (expected empty)."""
+        if not 0 < fraction <= 1:            # also rejects NaN
+            raise ValueError("fraction must be in (0, 1]")
         rng = random.Random(seed)
         items = sorted(self._mem.items())
         k = max(1, int(len(items) * fraction)) if items else 0

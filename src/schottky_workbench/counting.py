@@ -1,11 +1,20 @@
 """Representation numbers: tuples of lattice vectors with a prescribed Gram
 matrix.
 
-The engine is a depth-first tuple search over pre-enumerated shells of fixed
-norm, pruned by the inner-product constraints against the already-chosen
-vectors.  The final two tuple slots are resolved with vectorized submatrix
-counts, so leaves are never iterated one by one.  Totals accumulate in Python
-integers, so results are exact regardless of size.
+After the zero-slot and Cauchy-Schwarz reductions, each genus has one path:
+
+- genus 1 is a shell size, counted without building the shell;
+- genus 2 reads one histogram of <x, y> per diagonal (d1, d2);
+- genus >= 3 fixes x_0, x_1, ... one vector at a time, each narrowing every
+  later slot to its candidates, and ends in a block count (two open slots)
+  or a float32 triple contraction (three).  Every inner product goes
+  through one accessor over the candidate blocks.
+
+Exactness: int8 pair-Gram matrices hold every |<x, y>| <= isqrt(n1 n2) <=
+127 (checked); the contraction's float32 products are exact below 2**24
+candidates per slot (checked), its float64 sum below 2**53 completions of
+one fixed prefix; a pair too large to store uses int64 products of int8
+coordinates.  Totals are Python integers.
 """
 
 from __future__ import annotations
@@ -64,12 +73,6 @@ def _pair_gram(lat: Lattice, n1: int, n2: int):
     if n1 != n2:
         store[(n2, n1)] = out.T
     return out
-
-
-def _ip_row(lat: Lattice, shell: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Inner products of every shell vector with x (exact, small integers)."""
-    gx = lat.gram_array @ x.astype(np.int64)
-    return shell.astype(np.int64) @ gx
 
 
 class CountEngine:
@@ -158,83 +161,60 @@ class CountEngine:
         store[(d1, d2)] = hist
         return hist
 
-    # -- genus >= 3: pruned DFS with a vectorized two-slot tail ----------
+    # -- genus >= 3: fix slots one vector at a time ------------------------
 
     def _count_dfs(self, s) -> int:
+        """Fix x_0, x_1, ... one vector at a time until two or three slots
+        are open, then count those with one block or one contraction."""
         g = len(s)
         norms = [s[p][p] for p in range(g)]
         shells = short_vector_shells(self.lattice, max(norms))
         vs = [shells[n] for n in norms]
-        pgs = {}
-        for p in range(g):
-            for q in range(p + 1, g):
-                pgs[(p, q)] = _pair_gram(self.lattice, norms[p], norms[q])
+        pgs = {(p, q): _pair_gram(self.lattice, norms[p], norms[q])
+               for p in range(g) for q in range(p + 1, g)}
 
-        if g == 4 and all(pg is not None for pg in pgs.values()):
-            return self._count_quad(s, pgs, len(vs[0]))
+        def ips(p, q, rows, cols):
+            """<x, y> for x in slot p's `rows` (an index or an index array)
+            and y in slot q's `cols`: the stored int8 pair-Gram block, else
+            exact int64 products of only these candidates' coordinates."""
+            pg = pgs[(p, q)]
+            if pg is not None:      # rows, then columns: faster than np.ix_
+                return pg[rows][..., cols]
+            return vs[p][rows].astype(np.int64) @ self.lattice.gram_array @ \
+                vs[q][cols].T.astype(np.int64)
 
-        def masks_after(level, k, masks):
-            out = []
-            for j in range(level + 1, g):
-                pg = pgs[(level, j)]
-                if pg is not None:
-                    row = pg[k]
-                else:
-                    row = _ip_row(self.lattice, vs[j], vs[level][k])
-                out.append(masks[j - level - 1] & (row == s[level][j]))
-            return out
+        def hit(p, q, rows, cols):
+            return ips(p, q, rows, cols) == s[p][q]
 
-        def rec(level, masks):
-            if level == g - 2:
-                kidx = np.nonzero(masks[0])[0]
-                lmask = masks[1]
-                if kidx.size == 0 or not lmask.any():
-                    return 0
-                pg = pgs[(g - 2, g - 1)]
-                want = s[g - 2][g - 1]
-                if pg is not None:
-                    lidx = np.nonzero(lmask)[0]
-                    sub = pg[np.ix_(kidx, lidx)]
-                    return int((sub == want).sum())
-                total = 0
-                for k in kidx:
-                    row = _ip_row(self.lattice, vs[g - 1], vs[g - 2][k])
-                    total += int(((row == want) & lmask).sum())
-                return total
+        def rec(p, cands):
+            # cands[i] holds the candidate indices of slot p + i
             total = 0
-            for k in np.nonzero(masks[0])[0]:
-                total += rec(level + 1, masks_after(level, k, masks[1:]))
+            for x in cands[0]:
+                later = [c[hit(p, p + i, x, c)]
+                         for i, c in enumerate(cands[1:], 1)]
+                if any(c.size == 0 for c in later):
+                    continue
+                if len(later) == 2:
+                    total += int(hit(p + 1, p + 2, *later).sum())
+                elif len(later) == 3:
+                    total += contract(p + 1, *later)
+                else:
+                    total += rec(p + 1, later)
             return total
 
-        return rec(0, [np.ones(len(v), dtype=bool) for v in vs])
-
-    def _count_quad(self, s, pgs, m0) -> int:
-        """Genus 4 via one explicit slot plus a matrix triple contraction.
-
-        For fixed x_0 the remaining constraints form a three-index boolean
-        contraction sum_{j,k,l} A[j,k] C[k,l] B[j,l]; float32 matmul is exact
-        while every slot has fewer than 2**24 candidates (each entry of A C
-        is at most the x_2 candidate count), which is checked, and the final
-        reduction accumulates in float64.
-        """
-        p01, p02, p03 = pgs[(0, 1)], pgs[(0, 2)], pgs[(0, 3)]
-        p12, p13, p23 = pgs[(1, 2)], pgs[(1, 3)], pgs[(2, 3)]
-        total = 0
-        for k0 in range(m0):
-            jidx = np.nonzero(p01[k0] == s[0][1])[0]
-            kidx = np.nonzero(p02[k0] == s[0][2])[0]
-            lidx = np.nonzero(p03[k0] == s[0][3])[0]
-            if jidx.size == 0 or kidx.size == 0 or lidx.size == 0:
-                continue
-            if max(jidx.size, kidx.size, lidx.size) >= _F32_EXACT:
+        def contract(p, j, k, l):
+            """sum_{j,k,l} A[j,k] C[k,l] B[j,l] over slots p, p+1, p+2, in
+            float32 (an entry of A C is at most the slot p+1 count)."""
+            if max(j.size, k.size, l.size) >= _F32_EXACT:
                 raise OverflowError(
                     "a slot has 2**24 or more candidates: the float32 "
                     "contraction would not be exact")
-            a = (p12[np.ix_(jidx, kidx)] == s[1][2]).astype(np.float32)
-            b = (p13[np.ix_(jidx, lidx)] == s[1][3]).astype(np.float32)
-            c = (p23[np.ix_(kidx, lidx)] == s[2][3]).astype(np.float32)
-            total += int(np.rint(((a @ c) * b).sum(dtype=np.float64)))
-        return total
+            a = hit(p, p + 1, j, k).astype(np.float32)
+            b = hit(p, p + 2, j, l).astype(np.float32)
+            c = hit(p + 1, p + 2, k, l).astype(np.float32)
+            return int(np.rint(((a @ c) * b).sum(dtype=np.float64)))
+
+        return rec(0, [np.arange(len(v)) for v in vs])
 
 
 def representation_count(lattice: Lattice, target, cache=None) -> int:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import schottky_workbench
 from schottky_workbench.cache import (ENGINE_VERSION, ENV_CACHE_PATH,
                                       CountCache, cache_from_env, index_key)
@@ -83,6 +85,14 @@ def test_verify_sample_reports_mismatches(tmp_path):
     bad = cache.verify_sample(lambda lid, key: 240, fraction=1.0)
     assert len(bad) == 1
     assert bad[0]["cached"] == 239 and bad[0]["recomputed"] == 240
+
+
+@pytest.mark.parametrize("fraction", [0, -1, 1.5, float("nan")])
+def test_verify_sample_rejects_bad_fraction(fraction):
+    cache = CountCache()
+    cache.put("E8", index_key(1, [2]), 240)
+    with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\]"):
+        cache.verify_sample(lambda lid, key: 240, fraction=fraction)
 
 
 def test_cache_from_env(tmp_path, monkeypatch):

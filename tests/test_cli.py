@@ -189,6 +189,9 @@ def test_usage_error_is_machine_readable(capsys, tmp_path):
                     "--max-trace", "2",
                     "--cache", str(tmp_path / "absent" / "c.jsonl"))
     assert code == 2 and "FileNotFoundError" in doc["error"]
+    code, doc = run(capsys, "cache-stats", "--verify-cache", "--fraction", "0",
+                    "--cache", str(tmp_path / "c.jsonl"))
+    assert code == 2 and "fraction must be in (0, 1]" in doc["error"]
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -56,22 +57,36 @@ def test_genus2_counts_match_naive_loop(e8):
     assert eng.count(((2, 2), (2, 2))) == 240
 
 
-def test_genus2_sum_rule(e8):
-    # summing over all off-diagonal values recovers the product of shells
+# E8 shell sizes N(m) = 240 sigma_3(m / 2)
+_E8_SHELLS = {0: 1, 2: 240, 4: 2160, 6: 6720, 8: 17520}
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_diagonal_sum_rule(e8, genus):
+    # summing over every index with diagonal d counts all tuples of vectors
+    # of norms d: the product of the shell sizes
     eng = CountEngine(e8)
-    total = sum(eng.count(((2, s), (s, 2))) for s in range(-2, 3))
-    assert total == 240 * 240
+    totals = collections.Counter()
+    for s in idx.enumerate_indices(genus, 8):
+        totals[tuple(s[p][p] for p in range(genus))] += eng.count(s)
+    assert totals
+    for diag, total in totals.items():
+        assert total == math.prod(_E8_SHELLS[d] for d in diag), diag
 
 
 def test_genus3_counts_match_naive_loop(e8):
     eng = CountEngine(e8)
     shells = short_vector_shells(e8, 2)[2].astype(np.int64)
-    g = e8.gram_array
-    target = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-    gram = shells @ g @ shells.T
-    naive = int(((gram[:, :, None] == 0) & (gram[:, None, :] == 0) &
-                 (gram[None, :, :] == 0)).sum())
-    assert eng.count(target) == naive == 1814400
+    gram = shells @ e8.gram_array @ shells.T
+    targets = [s for s in idx.enumerate_indices(3, 6)
+               if (s[0][0], s[1][1], s[2][2]) == (2, 2, 2)]
+    assert len(targets) == 49
+    for s in targets:
+        naive = int(((gram[:, :, None] == s[0][1]) &
+                     (gram[:, None, :] == s[0][2]) &
+                     (gram[None, :, :] == s[1][2])).sum())
+        assert eng.count(s) == naive, s
+    assert eng.count(((2, 0, 0), (0, 2, 0), (0, 0, 2))) == 1814400
 
 
 def test_zero_diagonal_reduction(e8):
@@ -202,7 +217,7 @@ def test_pair_gram_refuses_int8_overflow(e8):
     assert counting._pair_gram(e8, 2, 4).dtype == np.int8
 
 
-def test_count_quad_refuses_inexact_float32(e8, monkeypatch):
+def test_contraction_refuses_inexact_float32(e8, monkeypatch):
     # a root of E8 is orthogonal to 126 others: every slot of diag(2,2,2,2)
     # has 126 candidates, so a stubbed exactness bound of 126 must trip
     s = tuple(tuple(2 if p == q else 0 for q in range(4)) for p in range(4))
@@ -211,3 +226,19 @@ def test_count_quad_refuses_inexact_float32(e8, monkeypatch):
         CountEngine(e8).count(s)
     monkeypatch.setattr(counting, "_F32_EXACT", 127)
     assert CountEngine(e8).count(s) > 0
+
+
+def test_withheld_pair_grams_count_the_same(e8, monkeypatch):
+    # with no pair-Gram matrix stored, every inner product of the genus >= 3
+    # recursion is an int64 product of candidate coordinates
+    targets = list(idx.enumerate_indices(3, 6)) + \
+        [s for s in idx.enumerate_indices(4, 8)
+         if all(s[p][p] == 2 for p in range(4))]
+    stored = CountEngine(e8)
+    want = [stored.count(s) for s in targets]
+    monkeypatch.setattr(counting, "_PAIR_GRAM_LIMIT", 0)
+    lat = Lattice(e8.name, e8.rank, e8.gram)            # an empty store
+    eng = CountEngine(lat)
+    assert [eng.count(s) for s in targets] == want
+    pair_grams = lat._store["pair_grams"]
+    assert pair_grams and all(pg is None for pg in pair_grams.values())
