@@ -141,6 +141,8 @@ def cmd_schottky_verify(args, cache) -> int:
 
 
 def cmd_eval(args, cache) -> int:
+    if not 0 <= args.tolerance < float("inf"):
+        raise ValueError("tolerance must be finite and >= 0")
     lat = _lattice(args.lattice)
     point = parse_tau(args.tau, args.genus)
     budget = args.budget if args.budget is not None \

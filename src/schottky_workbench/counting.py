@@ -1,78 +1,32 @@
 """Representation numbers: tuples of lattice vectors with a prescribed Gram
 matrix.
 
-After the zero-slot and Cauchy-Schwarz reductions, each genus has one path:
+After the zero-slot and Cauchy-Schwarz reductions, genus 1 is a shell size,
+counted without building the shell, and every genus >= 2 index runs through
+one recursion.  Slot 0 runs over orbit representatives of its shell under
+reflections in the simple roots and -1 (`shell_orbits`), each weighted by its
+orbit size: the count of completions is constant on an orbit.  Each fixed
+vector narrows every later slot to its candidates; one open slot ends in its
+candidate count, two in a block count, three in a float32 triple
+contraction.
 
-- genus 1 is a shell size, counted without building the shell;
-- genus 2 reads one histogram of <x, y> per diagonal (d1, d2);
-- genus >= 3 fixes x_0, x_1, ... one vector at a time, each narrowing every
-  later slot to its candidates, and ends in a block count (two open slots)
-  or a float32 triple contraction (three).  Every inner product goes
-  through one accessor over the candidate blocks.
-
-Exactness: int8 pair-Gram matrices hold every |<x, y>| <= isqrt(n1 n2) <=
-127 (checked); the contraction's float32 products are exact below 2**24
-candidates per slot (checked), its float64 sum below 2**53 completions of
-one fixed prefix; a pair too large to store uses int64 products of int8
-coordinates.  Totals are Python integers.
+Exactness: inner products of one fixed vector with candidates are int64;
+a block of candidates is a float32 product, exact while rank * max|xG| *
+max|y| < 2**24 (checked per block); the contraction's float32 products are
+exact below 2**24 candidates per slot (checked), its float64 sum below 2**53
+completions of one fixed prefix.  Totals are Python integers.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from . import indices as idx
 from .cache import CountCache, index_key
-from .lattices import Lattice, shell_sizes, short_vector_shells
+from .lattices import Lattice, shell_orbits, shell_sizes, short_vector_shells
 
-# pair-Gram matrices above this many entries are not materialized
-_PAIR_GRAM_LIMIT = 60_000_000
-# float64 work-block budget (entries, 4 MiB) for building pair-Gram matrices
-# and for the streamed histograms
-_BLOCK_ENTRIES = 1 << 19
 # float32 represents every integer below 2**24 exactly
 _F32_EXACT = 1 << 24
-
-
-def _ip_blocks(gram: np.ndarray, v1: np.ndarray, v2: np.ndarray):
-    """Yield (row offset, block) over the rounded products V1 G V2^T.
-
-    Each float64 block holds at most _BLOCK_ENTRIES entries, exact integers
-    of int8 coordinates and a small Gram matrix.  theta._ip_histogram keeps
-    its own loop on purpose: the direct sum is this path's independent
-    oracle.
-    """
-    right = gram.astype(np.float64) @ v2.T.astype(np.float64)
-    rows = max(1, _BLOCK_ENTRIES // max(1, len(v2)))
-    for lo in range(0, len(v1), rows):
-        block = v1[lo : lo + rows].astype(np.float64) @ right
-        yield lo, np.rint(block, out=block)
-
-
-def _pair_gram(lat: Lattice, n1: int, n2: int):
-    """Cross inner-product matrix between the norm-n1 and norm-n2 shells,
-    or None if it would be too large to hold; kept in the lattice's store."""
-    store = lat._store["pair_grams"]
-    if (n1, n2) in store:
-        return store[(n1, n2)]
-    if math.isqrt(n1 * n2) > 127:
-        raise OverflowError(
-            f"inner products of norms {n1} and {n2} can exceed the int8 "
-            f"range of a pair-Gram matrix")
-    shells = short_vector_shells(lat, max(n1, n2))
-    v1, v2 = shells[n1], shells[n2]
-    if v1.size == 0 or v2.size == 0 or len(v1) * len(v2) > _PAIR_GRAM_LIMIT:
-        store[(n1, n2)] = None
-        return None
-    out = np.empty((len(v1), len(v2)), dtype=np.int8)
-    for lo, block in _ip_blocks(lat.gram_array, v1, v2):
-        out[lo : lo + len(block)] = block
-    store[(n1, n2)] = out
-    if n1 != n2:
-        store[(n2, n1)] = out.T
-    return out
 
 
 class CountEngine:
@@ -134,73 +88,49 @@ class CountEngine:
         if g == 1:
             # a shell size: counted, the shell itself is never built
             return shell_sizes(self.lattice, s[0][0])[s[0][0]]
-        if g == 2:
-            return self._pair_histogram(s[0][0], s[1][1]).get(s[0][1], 0)
         return self._count_dfs(s)
 
-    # -- genus 2: one histogram covers every off-diagonal value ----------
-
-    def _pair_histogram(self, d1: int, d2: int) -> dict:
-        """Histogram of <x, y> over the norm-d1 x norm-d2 shell pairs,
-        streamed in blocks: the pair-Gram matrix is never held whole.
-        Kept in the lattice's store."""
-        store = self.lattice._store["histograms"]
-        if (d1, d2) in store:
-            return store[(d1, d2)]
-        shells = short_vector_shells(self.lattice, max(d1, d2))
-        off = math.isqrt(d1 * d2)
-        counts = np.zeros(2 * off + 1, dtype=np.int64)
-        # <x, y> is symmetric: the longer shell runs in blocks, so the
-        # right-hand factor G V2^T is formed from the shorter one
-        v1, v2 = sorted((shells[d1], shells[d2]), key=len, reverse=True)
-        for _, block in _ip_blocks(self.lattice.gram_array, v1, v2):
-            block += off
-            counts += np.bincount(block.astype(np.intp).ravel(),
-                                  minlength=2 * off + 1)
-        hist = {t - off: int(c) for t, c in enumerate(counts)}
-        store[(d1, d2)] = hist
-        return hist
-
-    # -- genus >= 3: fix slots one vector at a time ------------------------
+    # -- genus >= 2: fix slots one vector at a time ------------------------
 
     def _count_dfs(self, s) -> int:
-        """Fix x_0, x_1, ... one vector at a time until two or three slots
-        are open, then count those with one block or one contraction."""
+        """Fix x_0 to each orbit representative, weighted by its orbit size,
+        then x_1, ... one vector at a time until at most three slots are
+        open, and count those by size, one block or one contraction."""
         g = len(s)
         norms = [s[p][p] for p in range(g)]
         shells = short_vector_shells(self.lattice, max(norms))
         vs = [shells[n] for n in norms]
-        pgs = {(p, q): _pair_gram(self.lattice, norms[p], norms[q])
-               for p in range(g) for q in range(p + 1, g)}
-
-        def ips(p, q, rows, cols):
-            """<x, y> for x in slot p's `rows` (an index or an index array)
-            and y in slot q's `cols`: the stored int8 pair-Gram block, else
-            exact int64 products of only these candidates' coordinates."""
-            pg = pgs[(p, q)]
-            if pg is not None:      # rows, then columns: faster than np.ix_
-                return pg[rows][..., cols]
-            return vs[p][rows].astype(np.int64) @ self.lattice.gram_array @ \
-                vs[q][cols].T.astype(np.int64)
+        gram = self.lattice.gram_array
 
         def hit(p, q, rows, cols):
-            return ips(p, q, rows, cols) == s[p][q]
+            """<x, y> == s[p][q] for x in slot p's `rows` and y in slot q's
+            `cols`: exact int64 products for one row (an index), float32
+            products of only these candidates for a block (an index
+            array)."""
+            y = vs[q][cols]
+            if np.ndim(rows) == 0:
+                return np.einsum("ki,i->k", y, gram @ vs[p][rows]) == s[p][q]
+            xg = vs[p][rows] @ gram
+            y_max = max(int(y.max()), -int(y.min()))   # no int8 abs: -128
+            if self.lattice.rank * int(np.abs(xg).max()) * y_max >= _F32_EXACT:
+                raise OverflowError(
+                    "inner products of this block can reach 2**24: float32 "
+                    "products would not be exact")
+            return xg.astype(np.float32) @ y.T.astype(np.float32) == s[p][q]
 
-        def rec(p, cands):
-            # cands[i] holds the candidate indices of slot p + i
-            total = 0
-            for x in cands[0]:
-                later = [c[hit(p, p + i, x, c)]
-                         for i, c in enumerate(cands[1:], 1)]
-                if any(c.size == 0 for c in later):
-                    continue
-                if len(later) == 2:
-                    total += int(hit(p + 1, p + 2, *later).sum())
-                elif len(later) == 3:
-                    total += contract(p + 1, *later)
-                else:
-                    total += rec(p + 1, later)
-            return total
+        def rec(p, x, cands):
+            """Completions of x_p = x; cands[i] holds the candidate indices
+            of slot p + 1 + i."""
+            later = [c[hit(p, p + i, x, c)] for i, c in enumerate(cands, 1)]
+            if any(c.size == 0 for c in later):
+                return 0
+            if len(later) == 1:
+                return later[0].size
+            if len(later) == 2:
+                return int(hit(p + 1, p + 2, *later).sum())
+            if len(later) == 3:
+                return contract(p + 1, *later)
+            return sum(rec(p + 1, y, later[1:]) for y in later[0])
 
         def contract(p, j, k, l):
             """sum_{j,k,l} A[j,k] C[k,l] B[j,l] over slots p, p+1, p+2, in
@@ -214,7 +144,9 @@ class CountEngine:
             c = hit(p + 1, p + 2, k, l).astype(np.float32)
             return int(np.rint(((a @ c) * b).sum(dtype=np.float64)))
 
-        return rec(0, [np.arange(len(v)) for v in vs])
+        reps, sizes = shell_orbits(self.lattice, norms[0])
+        cands = [np.arange(len(v)) for v in vs[1:]]
+        return sum(int(w) * rec(0, x, cands) for x, w in zip(reps, sizes))
 
 
 def representation_count(lattice: Lattice, target, cache=None) -> int:

@@ -55,6 +55,8 @@ class SiegelPoint:
         m = np.array(self.tau, dtype=complex)
         if m.shape != (self.g, self.g):
             raise DomainError("tau must be a g x g matrix")
+        if not np.isfinite(m).all():
+            raise DomainError("tau entries must be finite")
         if not np.allclose(m, m.T, rtol=0, atol=1e-12 * (1 + np.abs(m).max())):
             raise DomainError("tau must be symmetric")
         sym = tuple(tuple(0.5 * (m[p][q] + m[q][p]) for q in range(self.g))

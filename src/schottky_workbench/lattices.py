@@ -1,4 +1,4 @@
-"""Even unimodular lattices and short-vector enumeration.
+"""Even unimodular lattices, short-vector enumeration and shell orbits.
 
 The two rank-16 building blocks are E8 + E8 and D16+; both are realized by
 explicit integer Gram matrices (documented below) so that every vector is an
@@ -59,11 +59,11 @@ class Lattice:
 
     Each instance owns one private store of the data derived from its Gram
     matrix: the int64 Gram array (`gram_array`, built once, read-only), the
-    one shell run of `short_vector_shells`, and the pair-Gram matrices
-    (keyed (n1, n2)) and genus-2 histograms (keyed (d1, d2)) of
-    `counting`.  The store takes no part in equality or hashing, and two
-    instances with equal Gram matrices do not share it; `lattice_by_id`
-    returns one instance per name, so its callers do.
+    one shell run of `short_vector_shells`, and the orbit representatives
+    and sizes of `shell_orbits` (keyed by norm).  The store takes no part
+    in equality or hashing, and two instances with equal Gram matrices do
+    not share it; `lattice_by_id` returns one instance per name, so its
+    callers do.
     """
 
     name: str
@@ -90,8 +90,7 @@ class Lattice:
             raise LatticeError("gram matrix must be unimodular")
         gram = np.array(g, dtype=np.int64)
         gram.flags.writeable = False
-        self._store.update(gram=gram, shells={}, pair_grams={},
-                           histograms={})
+        self._store.update(gram=gram, shells={}, orbits={})
 
     @property
     def gram_array(self) -> np.ndarray:
@@ -323,6 +322,68 @@ def shell_sizes(lat: Lattice, max_norm: int) -> dict:
     if shells is not None:
         return {m: len(v) for m, v in shells.items()}
     return _shell_counts(lat.gram_array, max_norm)
+
+
+def _simple_roots(gram: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The simple roots among the norm-2 vectors `roots` of a lattice.
+
+    A root is positive when its height, its coordinates dotted with the
+    square roots of the first rank primes (independent over Q, so no root
+    has height 0), is positive.  The root system is simply laced, so a
+    positive root r is simple unless a positive s of smaller height has
+    <r, s> = 1 (then r - s is a positive root too).
+    """
+    rank = len(gram)
+    primes = [p for p in range(2, 8 * rank) if all(p % d for d in range(2, p))]
+    height = roots @ np.sqrt(primes[:rank])
+    pos = roots[height > 0].astype(np.int64)
+    pos = pos[np.argsort(height[height > 0])]
+    # row i has a 1 at a column j < i: a positive root of smaller height
+    lower = np.tril(pos @ gram @ pos.T == 1, k=-1)
+    return pos[~lower.any(axis=1)]
+
+
+def shell_orbits(lat: Lattice, norm: int):
+    """Orbits of the norm-`norm` shell under the group generated by -1 and
+    the reflections x -> x - <x, r> r in the simple roots r, as
+    (representatives, sizes); a representative is its orbit's first row.
+
+    Each generator permutes the shell's rows, matched by their exact int16
+    bytes; one that maps a row outside the shell raises LatticeError.
+    Labels start as row indices and take the least label over each
+    generator's images, with pointer jumping, until they are stable.  The
+    generators are involutions, so each orbit's label is then its least
+    index.  Kept in the lattice's store, keyed by norm.
+    """
+    store = lat._store["orbits"]
+    if norm in store:
+        return store[norm]
+    shells = short_vector_shells(lat, max(norm, 2))
+    x = shells[norm].astype(np.int16)
+    row = np.dtype((np.void, 2 * lat.rank))     # one exact key per row
+    keys = x.view(row).ravel()
+    order = np.argsort(keys)
+
+    def permutation(image):
+        image = image.view(row).ravel()
+        at = np.searchsorted(keys, image, sorter=order)
+        if not (keys[order].take(at, mode="clip") == image).all():
+            raise LatticeError("a generator does not map the shell onto itself")
+        return order[at]
+
+    g = lat.gram_array
+    perms = [permutation(-x)]
+    for r in _simple_roots(g, shells[2]):
+        ip = np.einsum("ki,i->k", shells[norm], g @ r).astype(np.int16)
+        perms.append(permutation(x - ip[:, None] * r.astype(np.int16)))
+    labels, last = np.arange(len(x)), None
+    while last is None or (labels != last).any():
+        last = labels
+        for perm in perms:
+            labels = np.minimum(labels, labels[perm])
+        labels = labels[labels]
+    store[norm] = np.unique(labels, return_counts=True)
+    return store[norm]
 
 
 # the lattice ids of the CLI and the cache

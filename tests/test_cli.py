@@ -192,6 +192,12 @@ def test_usage_error_is_machine_readable(capsys, tmp_path):
     code, doc = run(capsys, "cache-stats", "--verify-cache", "--fraction", "0",
                     "--cache", str(tmp_path / "c.jsonl"))
     assert code == 2 and "fraction must be in (0, 1]" in doc["error"]
+    for tolerance in ("nan", "-1", "inf"):
+        code, doc = run(capsys, "eval", "--lattice", "E8", "--genus", "1",
+                        "--max-trace", "4", "--tau", "1.2i",
+                        "--tolerance", tolerance)
+        assert code == 2, tolerance
+        assert "tolerance must be finite and >= 0" in doc["error"]
 
 
 def test_unknown_subcommand_exits_2(capsys):

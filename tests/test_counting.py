@@ -14,17 +14,14 @@ from schottky_workbench.lattices import Lattice, short_vector_shells
 from schottky_workbench.theta import theta_expansion
 
 
-def _naive_pair_count(lat, d1, d2, want):
-    """Direct nested loop over the two shells, exact integer arithmetic."""
+def _naive_pair_counts(lat, d1, d2):
+    """Histogram of <x, y> over the norm-d1 x norm-d2 shell pairs: a direct
+    loop over the first shell, exact integer arithmetic."""
     shells = short_vector_shells(lat, max(d1, d2))
     g = lat.gram_array
-    total = 0
-    for x in shells[d1].astype(np.int64):
-        gx = g @ x
-        for y in shells[d2].astype(np.int64):
-            if int(y @ gx) == want:
-                total += 1
-    return total
+    return collections.Counter(
+        int(v) for x in shells[d1].astype(np.int64)
+        for v in shells[d2].astype(np.int64) @ (g @ x))
 
 
 def test_genus1_counts_match_shell_sizes(e8):
@@ -49,9 +46,10 @@ def test_genus1_counts_never_build_shells(d16, monkeypatch):
 
 def test_genus2_counts_match_naive_loop(e8):
     eng = CountEngine(e8)
-    for s in (-2, -1, 0, 1, 2):
-        got = eng.count(((2, s), (s, 2)))
-        assert got == _naive_pair_count(e8, 2, 2, s)
+    for d1, d2 in ((2, 2), (2, 4)):
+        naive = _naive_pair_counts(e8, d1, d2)
+        for t in range(-math.isqrt(d1 * d2), math.isqrt(d1 * d2) + 1):
+            assert eng.count(((d1, t), (t, d2))) == naive[t], (d1, d2, t)
     assert eng.count(((2, 0), (0, 2))) == 30240
     assert eng.count(((2, 1), (1, 2))) == 13440
     assert eng.count(((2, 2), (2, 2))) == 240
@@ -182,39 +180,27 @@ def test_representation_count_helper(e8):
     assert representation_count(e8, ((2,),)) == 240
 
 
-def test_pair_histogram_blocking_is_exact(e8, monkeypatch):
-    def histogram(block):
-        monkeypatch.setattr(counting, "_BLOCK_ENTRIES", block)
-        lat = Lattice(e8.name, e8.rank, e8.gram)       # no stored histogram
-        return CountEngine(lat)._pair_histogram(4, 2)
-
-    want = histogram(4_000_000)  # one streamed block
-    shells = short_vector_shells(e8, 4)
-    ips = collections.Counter(
-        int(v) for x in shells[4].astype(np.int64)
-        for v in shells[2].astype(np.int64) @ (e8.gram_array @ x))
-    assert want == {t: ips.get(t, 0) for t in range(-2, 3)}
-    # 4-row blocks of the streamed products
-    assert histogram(1000) == want
-
-
 def test_expansion_fills_one_store(e8):
     lat = Lattice(e8.name, e8.rank, e8.gram)
     theta_expansion(lat, 3, 8)
     store = lat._store
+    assert sorted(store) == ["gram", "orbits", "shells"]
     assert sorted(store["shells"]) == [0, 2, 4, 6]      # one run, bound 6
-    assert sorted(store["histograms"]) == [(2, 2), (2, 4), (2, 6), (4, 4)]
-    assert store["pair_grams"][(4, 2)] is not None
-    assert (store["pair_grams"][(4, 2)] == store["pair_grams"][(2, 4)].T).all()
+    # slot 0 has norm 2, or norm 4 in the genus-2 diagonal (4, 4)
+    assert sorted(store["orbits"]) == [2, 4]
     assert e8._store is not store
 
 
-def test_pair_gram_refuses_int8_overflow(e8):
-    # |<x, y>| <= isqrt(128 * 130) = 128 no longer fits int8; the guard
-    # fires before any shell is enumerated
+def test_block_refuses_inexact_float32(e8, monkeypatch):
+    # slot 0 of diag(2,2,2) is root 0, the one E8 orbit's representative;
+    # the 126 roots orthogonal to it have |xG| <= 2 and coordinates up to 4,
+    # so the block of slots 1 and 2 has guard value 8 * 2 * 4 = 64
+    s = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+    monkeypatch.setattr(counting, "_F32_EXACT", 64)
     with pytest.raises(OverflowError):
-        counting._pair_gram(e8, 128, 130)
-    assert counting._pair_gram(e8, 2, 4).dtype == np.int8
+        CountEngine(e8).count(s)
+    monkeypatch.setattr(counting, "_F32_EXACT", 65)
+    assert CountEngine(e8).count(s) == 1814400
 
 
 def test_contraction_refuses_inexact_float32(e8, monkeypatch):
@@ -228,17 +214,28 @@ def test_contraction_refuses_inexact_float32(e8, monkeypatch):
     assert CountEngine(e8).count(s) > 0
 
 
-def test_withheld_pair_grams_count_the_same(e8, monkeypatch):
-    # with no pair-Gram matrix stored, every inner product of the genus >= 3
-    # recursion is an int64 product of candidate coordinates
-    targets = list(idx.enumerate_indices(3, 6)) + \
+def test_trivial_orbits_count_the_same(e8, d16, monkeypatch):
+    # with every vector its own weight-1 orbit, slot 0 runs over its whole
+    # shell: the unweighted recursion is the orbit weighting's oracle
+    targets = {
+        e8: list(idx.enumerate_indices(3, 6)) +
         [s for s in idx.enumerate_indices(4, 8)
-         if all(s[p][p] == 2 for p in range(4))]
-    stored = CountEngine(e8)
-    want = [stored.count(s) for s in targets]
-    monkeypatch.setattr(counting, "_PAIR_GRAM_LIMIT", 0)
-    lat = Lattice(e8.name, e8.rank, e8.gram)            # an empty store
-    eng = CountEngine(lat)
-    assert [eng.count(s) for s in targets] == want
-    pair_grams = lat._store["pair_grams"]
-    assert pair_grams and all(pg is None for pg in pair_grams.values())
+         if all(s[p][p] == 2 for p in range(4))],
+        # the first five that Cauchy-Schwarz does not reduce to genus 2
+        d16: [s for s in idx.enumerate_indices(3, 8)
+              if (s[0][0], s[1][1], s[2][2]) == (2, 2, 4)
+              and abs(s[0][1]) < 2][:5],
+    }
+    want = {}
+    for lat, ts in targets.items():
+        eng = CountEngine(lat)
+        want[lat] = [eng.count(s) for s in ts]
+
+    def trivial_orbits(lat, norm):
+        n = len(short_vector_shells(lat, norm)[norm])
+        return np.arange(n), np.ones(n, dtype=np.int64)
+
+    monkeypatch.setattr(counting, "shell_orbits", trivial_orbits)
+    for lat, ts in targets.items():
+        eng = CountEngine(lat)
+        assert [eng.count(s) for s in ts] == want[lat]

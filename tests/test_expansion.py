@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import jsonschema
 import pytest
@@ -34,6 +35,11 @@ def test_siegel_point_invariants():
         SiegelPoint(2, ((1j, 1.0), (0.5, 1j)))   # asymmetric
     with pytest.raises(DomainError):
         SiegelPoint(2, ((1j, 2j), (2j, 1j)))   # Im not positive definite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # and no numpy RuntimeWarning
+        for bad in (complex("nanj"), math.inf):
+            with pytest.raises(DomainError, match="entries must be finite"):
+                SiegelPoint(2, ((1j, bad), (0.5, 1j)))
     p = SiegelPoint.scalar(2, 1.5j)
     assert p.im_min_eig == pytest.approx(1.5)
     q = p.direct_sum(SiegelPoint.scalar(1, 2j))

@@ -18,7 +18,8 @@ from schottky_workbench import lattices
 from schottky_workbench.lattices import (Lattice, LatticeError,
                                          UnsupportedLatticeError,
                                          _enumerate_array, _shell_counts,
-                                         direct_sum, lattice_by_id,
+                                         _simple_roots, direct_sum,
+                                         lattice_by_id, shell_orbits,
                                          shell_sizes, short_vector_shells)
 
 
@@ -356,3 +357,51 @@ def test_count_only_step_refuses_inexact_sqrt(e8, monkeypatch):
     monkeypatch.setattr(lattices, "_SQRT_EXACT", 1)
     with pytest.raises(ArithmeticError):
         shell_sizes(Lattice(e8.name, e8.rank, e8.gram), 2)  # an empty store
+
+
+# orbit sizes under -1 and the reflections in the simple roots, by norm
+_ORBIT_SIZES = {
+    "E8": {2: [240], 4: [2160]},
+    "D16plus": {2: [480], 4: [32, 29120, 32768]},
+    "E8E8": {2: [240, 240], 4: [2160, 57600, 2160]},
+}
+
+
+def _generator_matrices(lat):
+    """-1 and the reflections x -> x - <x, r> r in the simple roots, as
+    integer matrices acting on coordinate columns."""
+    g = lat.gram_array
+    eye = np.eye(lat.rank, dtype=np.int64)
+    roots = short_vector_shells(lat, 2)[2]
+    return [-eye] + [eye - np.outer(r, g @ r) for r in _simple_roots(g, roots)]
+
+
+@pytest.mark.parametrize("name", sorted(_ORBIT_SIZES))
+def test_shell_orbits(name):
+    lat = Lattice(name, lattice_by_id(name).rank, lattice_by_id(name).gram)
+    for norm, want in _ORBIT_SIZES[name].items():
+        shell = short_vector_shells(lat, 4)[norm]
+        reps, sizes = shell_orbits(lat, norm)
+        assert sizes.tolist() == want
+        assert sizes.sum() == len(shell)
+        # each representative is its orbit's first row: the first is row 0
+        assert reps[0] == 0 and (np.diff(reps) > 0).all()
+    assert sorted(lat._store["orbits"]) == [2, 4]
+
+
+@pytest.mark.parametrize("name", sorted(_ORBIT_SIZES))
+def test_orbit_generators_are_automorphisms(name):
+    lat = lattice_by_id(name)
+    gens = _generator_matrices(lat)
+    assert len(gens) == 1 + lat.rank                    # -1 and rank roots
+    g = lat.gram_array
+    for r in gens:
+        assert (r.T @ g @ r == g).all()
+    rng = np.random.default_rng(9)
+    word = np.eye(lat.rank, dtype=np.int64)
+    for k in rng.integers(0, len(gens), 20):
+        word = word @ gens[k]
+    for norm, shell in short_vector_shells(lat, 4).items():
+        image = shell.astype(np.int64) @ word.T
+        assert sorted(map(tuple, image.tolist())) == \
+            sorted(map(tuple, shell.tolist())), norm

@@ -116,8 +116,8 @@ def test_theta_eval_never_calls_counting(e8, monkeypatch):
         raise AssertionError("theta_eval reached the counting engine")
 
     monkeypatch.setattr(counting.CountEngine, "count", forbidden)
-    monkeypatch.setattr(counting.CountEngine, "_pair_histogram", forbidden)
-    monkeypatch.setattr(counting, "_pair_gram", forbidden)
+    monkeypatch.setattr(counting.CountEngine, "_count_dfs", forbidden)
+    monkeypatch.setattr(counting, "shell_orbits", forbidden)
     got = theta_eval(e8, 2, pt, 6).value
     assert abs(got - want) <= 1e-12 * abs(want)
 
