@@ -55,17 +55,21 @@ class CountCache:
             self._load()
 
     def _load(self):
-        with open(self.path, "r", encoding="utf-8") as fh:
+        # a byte that is not UTF-8 spoils its line only
+        with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
                     rec = json.loads(line)
-                    lid = rec["lattice_id"]
-                    key = rec["index_key"]
-                    count = int(rec["count"])
-                    ver = rec["engine_version"]
+                    lid, key, count, ver = (rec[k] for k in (
+                        "lattice_id", "index_key", "count", "engine_version"))
+                    if not all(isinstance(f, str)
+                               for f in (lid, key, count, ver)) \
+                            or not (count.isascii() and count.isdigit()):
+                        raise TypeError("not a record as put writes it")
+                    count = int(count)
                 except (ValueError, KeyError, TypeError):
                     self.corrupt_records += 1
                     log.warning("cache %s: skipping corrupt line %d",
@@ -96,11 +100,16 @@ class CountCache:
             "engine_version": self.engine_version,
         }
         line = json.dumps(rec, separators=(",", ":"), sort_keys=True) + "\n"
-        with open(self.path, "a", encoding="utf-8") as fh:
+        with open(self.path, "ab+") as fh:
             if fcntl is not None:
                 fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
             try:
-                fh.write(line)
+                # a writer that died mid-line left no newline: end its line
+                if fh.seek(0, os.SEEK_END):
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        line = "\n" + line
+                fh.write(line.encode("utf-8"))
                 fh.flush()
             finally:
                 if fcntl is not None:

@@ -196,8 +196,12 @@ def cmd_cache_stats(args, cache) -> int:
     doc["command"] = "cache-stats"
     if args.verify_cache:
         def recompute(lattice_id, key):
-            rec = json.loads(key)
-            target = idx.from_upper_triangle(rec["g"], rec["u"])
+            try:
+                rec = json.loads(key)
+                target = idx.from_upper_triangle(rec["g"], rec["u"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise UsageError(
+                    f"cache key {key!r} is not an index: {exc}") from None
             # fresh engine with its own empty cache: forces real recomputation
             return CountEngine(_lattice(lattice_id)).count(target)
         mismatches = cache.verify_sample(recompute, fraction=args.fraction)

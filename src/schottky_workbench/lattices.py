@@ -208,71 +208,58 @@ def _prefix_walk(gram: np.ndarray, max_norm: int, coords: bool):
                        np.zeros((1, n), dtype=np.int64), np.zeros(1))
 
 
-def _enumerate_array(gram: np.ndarray, max_norm: int):
-    """All vectors x with x^T G x <= max_norm, sorted by (norm, lex coords).
+def _vectors(gram: np.ndarray, max_norm: int, coords: bool):
+    """Blocks of every x with x^T G x <= max_norm, in lexicographic order:
+    (int8 coordinates, None unless `coords`; exact int64 norms).
 
-    The prefix walk (`_prefix_walk`) fills every coordinate but the last;
-    the last one, x, ranges over the exact integer interval of
-    a x^2 + 2 h x + q <= max_norm (a = G_ll), whose ends come from `_isqrt`.
-    The norms are therefore exact integers and need no filter, and the
-    walk's lexicographic order leaves one stable sort by norm.  Memory is
-    the walk's bounded state plus the result (rank + 8 bytes per vector,
-    twice while sorting).  Coordinates outside int16 (in the walk) or int8
-    (in the result) raise LatticeError, a discriminant at or above 2**52
-    ArithmeticError.
+    `_prefix_walk` fills every coordinate but the last, x, which ranges
+    over the exact integer interval of a x^2 + 2 h x + q <= max_norm
+    (a = G_ll) with ends from `_isqrt`, so no norm needs a filter.  Memory
+    is the walk's bounded state plus one block.  Coordinates outside int16
+    (in the walk) or int8 (with `coords`) raise LatticeError, a
+    discriminant at or above 2**52 ArithmeticError.
     """
     gram = np.asarray(gram, dtype=np.int64)
     n = gram.shape[0]
-    if max_norm < 0:
-        raise ValueError("max_norm must be >= 0")
     a = int(gram[n - 1, n - 1])
-    blocks, norms = [], []
-    for xs, q, h in _prefix_walk(gram, max_norm, coords=True):
+    for xs, q, h in _prefix_walk(gram, max_norm, coords):
         disc = h * h - a * (q - max_norm)
         r = _isqrt(np.maximum(disc, 0))
         lo = -((h + r) // a)
         hi = np.where(disc >= 0, (r - h) // a, lo - 1)
         rep, xi = _expand(lo, hi)
-        xs = xs[rep]
-        xs[:, n - 1] = xi
-        if len(xs) and (xs.min() < -128 or xs.max() > 127):
-            raise LatticeError("coordinates exceed int8 range")  # not expected
-        blocks.append(xs.astype(np.int8))
-        norms.append(q[rep] + xi * (a * xi + 2 * h[rep]))
-    xs, norms = np.concatenate(blocks), np.concatenate(norms)
-    order = np.argsort(norms, kind="stable")
-    return xs[order], norms[order]
+        if xs is not None:
+            xs = xs[rep]
+            xs[:, n - 1] = xi
+            if len(xs) and (xs.min() < -128 or xs.max() > 127):
+                raise LatticeError("coordinates exceed int8 range")
+            xs = xs.astype(np.int8)
+        yield xs, q[rep] + xi * (a * xi + 2 * h[rep])
+
+
+def _shells(gram: np.ndarray, max_norm: int) -> dict:
+    """{m: int8 array of the vectors of norm m} for even m <= max_norm.
+
+    Each block of `_vectors` is split by norm as it arrives, so each shell
+    keeps the walk's lexicographic order with no sort.
+    """
+    parts = {}  # per norm from the first block: too big a bound raises first
+    for xs, norms in _vectors(gram, max_norm, coords=True):
+        for m in range(0, max_norm + 1, 2):
+            parts.setdefault(m, []).append(xs[norms == m])
+    return {m: np.concatenate(parts.pop(m)) for m in range(0, max_norm + 1, 2)}
 
 
 def _shell_counts(gram: np.ndarray, max_norm: int) -> dict:
     """{m: #{x : x^T G x = m}} for even m <= max_norm, without building x.
 
-    Runs the prefix walk of `_enumerate_array` without coordinates and
-    counts the last coordinate of each prefix: the integer roots x of
-    a x^2 + 2 h x + q = m (a = G_ll) are x = (-h +- r) / a, where
-    r^2 = h^2 - a (q - m) must be a perfect square, checked exactly by
-    `_isqrt` (which raises ArithmeticError at or above 2**52 instead of
-    rounding), and r = +-h mod a.  Memory is the walk's bounded state; no
-    vector exists.
+    Bincounts the exact norms of `_vectors` block by block, with no
+    coordinates: memory is the walk's bounded state plus one block's norms.
     """
-    gram = np.asarray(gram, dtype=np.int64)
-    n = gram.shape[0]
-    a = int(gram[n - 1, n - 1])
-    counts = dict.fromkeys(range(0, max_norm + 1, 2), 0)
-    for _, q, h in _prefix_walk(gram, max_norm, coords=False):
-        base = h * h - a * q              # the discriminant at m is base + a m
-        live = base + a * max_norm >= 0
-        h, base = h[live], base[live]
-        h_plus, h_minus = h % a, -h % a
-        for m in counts:
-            disc = base + a * m
-            ok = disc >= 0
-            r = _isqrt(np.where(ok, disc, 0))
-            ok &= r * r == disc
-            rm = r % a
-            counts[m] += int(np.count_nonzero(ok & (rm == h_plus))) + \
-                int(np.count_nonzero(ok & (r > 0) & (rm == h_minus)))
-    return counts
+    counts = 0      # an array from the first block on (see `_shells`)
+    for _, norms in _vectors(gram, max_norm, coords=False):
+        counts = counts + np.bincount(norms // 2, minlength=max_norm // 2 + 1)
+    return {2 * k: int(c) for k, c in enumerate(counts)}
 
 
 def _check_norm(max_norm: int):
@@ -291,8 +278,8 @@ def _stored_shells(lat: Lattice, max_norm: int):
 def short_vector_shells(lat: Lattice, max_norm: int) -> dict:
     """Vectors of norm <= max_norm grouped by norm, as read-only int8 arrays.
 
-    Built by `_enumerate_array`, the walk that `shell_sizes` shares; each
-    shell is sorted lexicographically and costs rank bytes per vector.  The
+    Built by `_shells` from the walk that `shell_sizes` shares; each shell
+    is in lexicographic order and costs rank bytes per vector.  The
     lattice's store keeps one run: a request at or below its bound returns
     that run's arrays, and a request above it walks once at the new bound
     and replaces the run.
@@ -300,8 +287,7 @@ def short_vector_shells(lat: Lattice, max_norm: int) -> dict:
     _check_norm(max_norm)
     shells = _stored_shells(lat, max_norm)
     if shells is None:
-        xs, norms = _enumerate_array(lat.gram_array, max_norm)
-        shells = {m: xs[norms == m] for m in range(0, max_norm + 1, 2)}
+        shells = _shells(lat.gram_array, max_norm)
         for v in shells.values():
             v.flags.writeable = False
         lat._store["shells"] = shells
@@ -312,10 +298,9 @@ def shell_sizes(lat: Lattice, max_norm: int) -> dict:
     """{m: number of vectors of norm m} for even m <= max_norm.
 
     If the lattice's shell run reaches max_norm, its lengths are returned.
-    Otherwise the sizes are exact and count-only: the last coordinate is
-    counted, never built (`_shell_counts`), so memory stays at the prefix
-    walk's bounded state, no vector array exists and the store is left as
-    it is.
+    Otherwise `_shell_counts` bincounts the exact norms of the same walk
+    that builds the shells, with no coordinates: memory stays at the walk's
+    bounded state plus one block, and the store is left as it is.
     """
     _check_norm(max_norm)
     shells = _stored_shells(lat, max_norm)

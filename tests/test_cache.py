@@ -39,12 +39,39 @@ def test_corrupt_lines_skipped_with_warning(tmp_path, caplog):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("this is not json\n")
         fh.write('{"lattice_id": "E8"}\n')          # missing fields
+        # fields of the wrong type, and counts that are not ASCII digits
+        fh.write('{"count":"1","engine_version":"1","index_key":"x",'
+                 '"lattice_id":["E8"]}\n')
+        for count in ('2.7', '"2.7"', '"-1"', '" 1"', '"\\u00b2"', '3'):
+            fh.write('{"count":%s,"engine_version":"1","index_key":"y",'
+                     '"lattice_id":"E8"}\n' % count)
+        fh.write('[1, 2]\n')
+        # ASCII digits, but too many for int()
+        fh.write('{"count":"%s","engine_version":"1","index_key":"z",'
+                 '"lattice_id":"E8"}\n' % ("1" * 5000))
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe\n")                      # not UTF-8
     with caplog.at_level("WARNING"):
         fresh = CountCache(path)
-    assert fresh.corrupt_records == 2
+    assert fresh.corrupt_records == 12
     assert fresh.loaded_records == 1
     assert fresh.get("E8", index_key(1, [2])) == 240
     assert any("corrupt" in r.message for r in caplog.records)
+
+
+def test_put_after_torn_line_starts_a_new_line(tmp_path):
+    # a writer that died mid-line left no newline; the next record must
+    # not be appended onto the torn line
+    path = tmp_path / "c.jsonl"
+    cache = CountCache(path)
+    cache.put("E8", index_key(1, [2]), 240)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"count":"21')
+    cache.put("E8", index_key(1, [4]), 2160)
+    fresh = CountCache(path)
+    assert fresh.corrupt_records == 1
+    assert fresh.entries() == {("E8", index_key(1, [2])): 240,
+                               ("E8", index_key(1, [4])): 2160}
 
 
 def test_engine_version_gates_records(tmp_path):

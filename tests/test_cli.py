@@ -7,7 +7,7 @@ import pytest
 
 from conftest import load_schema
 from schottky_workbench import cli, schottky
-from schottky_workbench.cache import ENV_CACHE_PATH
+from schottky_workbench.cache import ENV_CACHE_PATH, CountCache
 from schottky_workbench.cli import main, parse_tau
 from schottky_workbench.expansion import SiegelPoint
 from schottky_workbench.lattices import Lattice, lattice_by_id
@@ -192,6 +192,11 @@ def test_usage_error_is_machine_readable(capsys, tmp_path):
     code, doc = run(capsys, "cache-stats", "--verify-cache", "--fraction", "0",
                     "--cache", str(tmp_path / "c.jsonl"))
     assert code == 2 and "fraction must be in (0, 1]" in doc["error"]
+    bad = CountCache(tmp_path / "bad.jsonl")
+    bad.put("E8", "5", 240)                  # JSON, but not {"g", "u"}
+    code, doc = run(capsys, "cache-stats", "--verify-cache",
+                    "--fraction", "1", "--cache", bad.path)
+    assert code == 2 and "is not an index" in doc["error"]
     for tolerance in ("nan", "-1", "inf"):
         code, doc = run(capsys, "eval", "--lattice", "E8", "--genus", "1",
                         "--max-trace", "4", "--tau", "1.2i",

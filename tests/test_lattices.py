@@ -17,7 +17,7 @@ import pytest
 from schottky_workbench import lattices
 from schottky_workbench.lattices import (Lattice, LatticeError,
                                          UnsupportedLatticeError,
-                                         _enumerate_array, _shell_counts,
+                                         _shell_counts, _shells,
                                          _simple_roots, direct_sum,
                                          lattice_by_id, shell_orbits,
                                          shell_sizes, short_vector_shells)
@@ -144,10 +144,22 @@ def test_shells_reject_odd_bound(e8):
         short_vector_shells(e8, 3)
 
 
+def _enumerate_array(gram, max_norm):
+    """Every vector of norm <= max_norm sorted by (norm, lexicographic
+    coordinates): the shells of `_shells` joined, with their norms."""
+    shells = _shells(gram, max_norm)
+    return (np.concatenate(list(shells.values())),
+            np.repeat(np.array(list(shells), dtype=np.int64),
+                      [len(v) for v in shells.values()]))
+
+
 def test_enumeration_refuses_int16_coordinates():
     # the rank-1 form 2x^2 <= 2 * 32768**2 allows x = +-32768 (65537 values)
     with pytest.raises(LatticeError, match="int16"):
         _enumerate_array(np.array([[2]]), 2 * 32768 ** 2)
+    # the count-only walk refuses too, before it allocates anything per norm
+    with pytest.raises(LatticeError, match="int16"):
+        _shell_counts(np.array([[2]]), 2 * 32768 ** 2)
     with pytest.raises(LatticeError, match="int8"):
         _enumerate_array(np.array([[2]]), 2 * 32767 ** 2)
 
@@ -310,7 +322,7 @@ def test_one_shell_run_per_lattice(e8, monkeypatch):
 
     # a request at or below the bound is cut from the run
     with monkeypatch.context() as patch:
-        patch.setattr(lattices, "_enumerate_array", forbidden)
+        patch.setattr(lattices, "_vectors", forbidden)
         cut = short_vector_shells(lat, 4)
     fresh = short_vector_shells(Lattice(e8.name, e8.rank, e8.gram), 4)
     assert sorted(cut) == sorted(fresh) == [0, 2, 4]
