@@ -65,9 +65,10 @@ class CountCache:
                     rec = json.loads(line)
                     lid, key, count, ver = (rec[k] for k in (
                         "lattice_id", "index_key", "count", "engine_version"))
-                    if not all(isinstance(f, str)
-                               for f in (lid, key, count, ver)) \
-                            or not (count.isascii() and count.isdigit()):
+                    # put writes an ASCII line of four strings, count in digits
+                    if not (all(isinstance(f, str) for f in (lid, key, count, ver))
+                            and line.isascii() and count.isascii()
+                            and count.isdigit()):
                         raise TypeError("not a record as put writes it")
                     count = int(count)
                 except (ValueError, KeyError, TypeError):

@@ -9,8 +9,6 @@ coefficient.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import indices as idx
 from .expansion import FourierExpansion
 from .lattices import lattice_by_id
@@ -34,9 +32,12 @@ def nonzero_report(g: int, max_trace: int, cache=None) -> dict:
     verify_vanishing and first_nonzero_index are views of this report.
     """
     diff = schottky_expansion(g, max_trace, cache=cache)
-    keys = diff.table.keys
-    nonzero = [{"S": idx.upper_triangle(keys[r]), "a": str(diff.column[r])}
-               for r in np.flatnonzero(diff.column != 0)]
+    keys = idx.index_table(g, max_trace).keys
+    nonzero = []
+    for s in keys:
+        v = diff.coefficient(s)
+        if v != 0:
+            nonzero.append({"S": idx.upper_triangle(s), "a": str(v)})
     return {
         "genus": g,
         "max_trace": max_trace,

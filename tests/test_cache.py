@@ -51,10 +51,15 @@ def test_corrupt_lines_skipped_with_warning(tmp_path, caplog):
                  '"lattice_id":"E8"}\n' % ("1" * 5000))
     with open(path, "ab") as fh:
         fh.write(b"\xff\xfe\n")                      # not UTF-8
+        # well-formed records whose lattice_id holds a byte put never writes
+        for lid in (b"E\xff8", "E\u00e98".encode("utf-8")):
+            fh.write(b'{"count":"1","engine_version":"1","index_key":"w",'
+                     b'"lattice_id":"' + lid + b'"}\n')
     with caplog.at_level("WARNING"):
         fresh = CountCache(path)
-    assert fresh.corrupt_records == 12
+    assert fresh.corrupt_records == 14
     assert fresh.loaded_records == 1
+    assert list(fresh.entries()) == [("E8", index_key(1, [2]))]
     assert fresh.get("E8", index_key(1, [2])) == 240
     assert any("corrupt" in r.message for r in caplog.records)
 
