@@ -3,7 +3,7 @@ Fourier-expansion arithmetic, the weight-8 Schottky form, and first-order
 period-matrix degenerations."""
 
 from .cache import ENGINE_VERSION, ENV_CACHE_PATH, CountCache, cache_from_env
-from .counting import CountEngine, representation_count
+from .counting import CountEngine
 from .expansion import (DerivativePolynomial, DomainError, EvalResult,
                         FourierExpansion, IncompatibleExpansionError,
                         LimitReport, SiegelPoint, TruncationError,
@@ -36,7 +36,7 @@ __all__ = [
     "enumerate_indices", "evaluate", "fay_check",
     "first_nonzero_index", "from_upper_triangle", "is_psd",
     "lattice_by_id", "nonzero_report", "period_matrix_first_order",
-    "representation_count", "scaling_law_check", "schottky_expansion",
+    "scaling_law_check", "schottky_expansion",
     "shell_sizes", "short_vector_shells", "siegel_limit_check",
     "siegel_operator", "sigma_matrix", "theta_eval", "theta_expansion",
     "upper_triangle", "validate_index", "verify_vanishing",

@@ -28,6 +28,9 @@ ENGINE_VERSION = "1"
 
 ENV_CACHE_PATH = "SCHOTTKY_WORKBENCH_CACHE"
 
+# verify_sample draws the same sample on every run
+_SAMPLE_SEED = 0
+
 
 def index_key(genus: int, upper: list) -> str:
     """Canonical serialization of a GramTarget: genus + upper triangle."""
@@ -42,9 +45,8 @@ class CountCache:
     snapshot loaded at construction plus their own writes.
     """
 
-    def __init__(self, path=None, engine_version: str = ENGINE_VERSION):
+    def __init__(self, path=None):
         self.path = os.fspath(path) if path is not None else None
-        self.engine_version = engine_version
         self._mem = {}
         self.hits = 0
         self.misses = 0
@@ -76,7 +78,7 @@ class CountCache:
                     log.warning("cache %s: skipping corrupt line %d",
                                 self.path, lineno)
                     continue
-                if ver != self.engine_version:
+                if ver != ENGINE_VERSION:
                     continue
                 self._mem[(lid, key)] = count
                 self.loaded_records += 1
@@ -98,7 +100,7 @@ class CountCache:
             "lattice_id": lattice_id,
             "index_key": key,
             "count": str(int(count)),
-            "engine_version": self.engine_version,
+            "engine_version": ENGINE_VERSION,
         }
         line = json.dumps(rec, separators=(",", ":"), sort_keys=True) + "\n"
         with open(self.path, "ab+") as fh:
@@ -124,19 +126,19 @@ class CountCache:
             "puts": self.puts,
             "loaded_records": self.loaded_records,
             "corrupt_records": self.corrupt_records,
-            "engine_version": self.engine_version,
+            "engine_version": ENGINE_VERSION,
             "path": self.path,
         }
 
     def entries(self):
         return dict(self._mem)
 
-    def verify_sample(self, recompute, fraction: float = 0.01, seed: int = 0):
+    def verify_sample(self, recompute, fraction: float = 0.01):
         """Recompute a random sample of stored counts with `recompute(lattice_id,
         key)`; returns the list of mismatches (expected empty)."""
         if not 0 < fraction <= 1:            # also rejects NaN
             raise ValueError("fraction must be in (0, 1]")
-        rng = random.Random(seed)
+        rng = random.Random(_SAMPLE_SEED)
         items = sorted(self._mem.items())
         k = max(1, int(len(items) * fraction)) if items else 0
         mismatches = []

@@ -5,10 +5,11 @@ After the zero-slot and Cauchy-Schwarz reductions, genus 1 is a shell size,
 counted without building the shell, and every genus >= 2 index runs through
 one recursion.  Slot 0 runs over orbit representatives of its shell under
 reflections in the simple roots and -1 (`shell_orbits`), each weighted by its
-orbit size: the count of completions is constant on an orbit.  Each fixed
-vector narrows every later slot to its candidates; one open slot ends in its
-candidate count, two in a block count, three in a float32 triple
-contraction.
+orbit size: the count of completions is constant on an orbit.  Candidates
+are vectors, not indices: a slot starts as its shell, with no copy, and each
+fixed vector narrows every later slot to the rows that match it.  One open
+slot ends in its candidate count, two in a block count, three in a float32
+triple contraction.
 
 Exactness: inner products of one fixed vector with candidates are int64;
 a block of candidates is a float32 product, exact while rank * max|xG| *
@@ -102,15 +103,13 @@ class CountEngine:
         vs = [shells[n] for n in norms]
         gram = self.lattice.gram_array
 
-        def hit(p, q, rows, cols):
-            """<x, y> == s[p][q] for x in slot p's `rows` and y in slot q's
-            `cols`: exact int64 products for one row (an index), float32
-            products of only these candidates for a block (an index
-            array)."""
-            y = vs[q][cols]
-            if np.ndim(rows) == 0:
-                return np.einsum("ki,i->k", y, gram @ vs[p][rows]) == s[p][q]
-            xg = vs[p][rows] @ gram
+        def hit(p, q, x, y):
+            """<x, y> == s[p][q] for x in slot p and the candidate vectors y
+            of slot q: exact int64 products for one vector x, float32
+            products of only these candidates for a block of vectors x."""
+            if x.ndim == 1:
+                return np.einsum("ki,i->k", y, gram @ x) == s[p][q]
+            xg = x @ gram
             y_max = max(int(y.max()), -int(y.min()))   # no int8 abs: -128
             if self.lattice.rank * int(np.abs(xg).max()) * y_max >= _F32_EXACT:
                 raise OverflowError(
@@ -119,13 +118,13 @@ class CountEngine:
             return xg.astype(np.float32) @ y.T.astype(np.float32) == s[p][q]
 
         def rec(p, x, cands):
-            """Completions of x_p = x; cands[i] holds the candidate indices
+            """Completions of x_p = x; cands[i] holds the candidate vectors
             of slot p + 1 + i."""
             later = [c[hit(p, p + i, x, c)] for i, c in enumerate(cands, 1)]
-            if any(c.size == 0 for c in later):
+            if any(len(c) == 0 for c in later):
                 return 0
             if len(later) == 1:
-                return later[0].size
+                return len(later[0])
             if len(later) == 2:
                 return int(hit(p + 1, p + 2, *later).sum())
             if len(later) == 3:
@@ -135,7 +134,7 @@ class CountEngine:
         def contract(p, j, k, l):
             """sum_{j,k,l} A[j,k] C[k,l] B[j,l] over slots p, p+1, p+2, in
             float32 (an entry of A C is at most the slot p+1 count)."""
-            if max(j.size, k.size, l.size) >= _F32_EXACT:
+            if max(len(j), len(k), len(l)) >= _F32_EXACT:
                 raise OverflowError(
                     "a slot has 2**24 or more candidates: the float32 "
                     "contraction would not be exact")
@@ -145,10 +144,6 @@ class CountEngine:
             return int(np.rint(((a @ c) * b).sum(dtype=np.float64)))
 
         reps, sizes = shell_orbits(self.lattice, norms[0])
-        cands = [np.arange(len(v)) for v in vs[1:]]
-        return sum(int(w) * rec(0, x, cands) for x, w in zip(reps, sizes))
+        return sum(int(w) * rec(0, x, vs[1:])
+                   for x, w in zip(vs[0][reps], sizes))
 
-
-def representation_count(lattice: Lattice, target, cache=None) -> int:
-    """#{(x_1..x_g) in lattice^g : <x_p, x_q> = target[p][q] for all p, q}."""
-    return CountEngine(lattice, cache).count(target)

@@ -229,6 +229,8 @@ class FourierExpansion:
         coeffs = {}
         for ent in doc["entries"]:
             s = idx.from_upper_triangle(g, ent["S"])
+            if s in coeffs:
+                raise ValueError(f"index {ent['S']} is listed twice")
             coeffs[s] = int(ent["a"])
         return cls(g=g, weight=int(doc["weight"]),
                    max_trace=int(doc["max_trace"]), coeffs=coeffs,

@@ -22,6 +22,10 @@ from .expansion import (DerivativePolynomial, DomainError, FourierExpansion,
 
 TWO_PI_I = 2j * math.pi
 
+# t step of the central difference in derivative_identity_check; one
+# Richardson step also takes it halved
+_DIFFERENCE_STEP = 1e-4
+
 
 def _as_complex(val) -> complex:
     """Accept a plain number or an [re, im] pair."""
@@ -213,8 +217,8 @@ class CheckReport:
         }
 
 
-def _directional_derivative(f: FourierExpansion, tau: SiegelPoint, sigma,
-                            step: float) -> complex:
+def _directional_derivative(f: FourierExpansion, tau: SiegelPoint,
+                            sigma) -> complex:
     """Central difference in t of evaluate(f, tau + t*sigma) at t = 0, with
     one Richardson extrapolation step."""
     tm = tau.matrix
@@ -227,21 +231,21 @@ def _directional_derivative(f: FourierExpansion, tau: SiegelPoint, sigma,
     def central(h: float) -> complex:
         return (at(h) - at(-h)) / (2 * h)
 
-    d1 = central(step)
-    d2 = central(step / 2)
+    d1 = central(_DIFFERENCE_STEP)
+    d2 = central(_DIFFERENCE_STEP / 2)
     return (4 * d2 - d1) / 3
 
 
 def derivative_identity_check(f: FourierExpansion, n: DerivativePolynomial,
-                              tau: SiegelPoint, sigma, tolerance: float = 1e-6,
-                              step: float = 1e-4) -> CheckReport:
+                              tau: SiegelPoint, sigma,
+                              tolerance: float = 1e-6) -> CheckReport:
     """Verify that A equals the t-derivative at 0 of N(F)(tau + t*sigma).
 
     The right-hand side is a finite difference of the truncated evaluation,
     so sigma is confirmed to be a tangent direction of the form up to the
     stated tolerance."""
     lhs = coefficient_A(f, n, tau, sigma)
-    rhs = _directional_derivative(apply_derivative(f, n), tau, sigma, step)
+    rhs = _directional_derivative(apply_derivative(f, n), tau, sigma)
     abs_err = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs))
     rel_err = abs_err / scale if scale > 0 else 0.0
@@ -249,7 +253,7 @@ def derivative_identity_check(f: FourierExpansion, n: DerivativePolynomial,
         name="derivative-identity", passed=rel_err <= tolerance,
         abs_error=abs_err, rel_error=rel_err, tolerance=tolerance,
         details={"A": _pair(lhs), "finite_difference": _pair(rhs),
-                 "step": step})
+                 "step": _DIFFERENCE_STEP})
 
 
 DEFAULT_SCALING_PAIRS = ((1, 1), (2, 1), (1, 3), (-1, 2))

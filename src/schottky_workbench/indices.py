@@ -124,22 +124,16 @@ def from_upper_triangle(g: int, values) -> tuple:
     return as_entries(m)
 
 
-def _even_diagonals(g: int, max_trace: int):
-    """All tuples of even non-negative integers of length g with sum <= max_trace."""
-    if g == 0:
-        yield ()
-        return
-    for d in range(0, max_trace + 1, 2):
-        for rest in _even_diagonals(g - 1, max_trace - d):
-            yield (d,) + rest
-
-
 @lru_cache(maxsize=None)
 def enumerate_indices(g: int, max_trace: int) -> tuple:
     """All index matrices of genus g with trace <= max_trace, sorted.
 
-    Diagonals run over even tuples, off-diagonal entries over the
-    Cauchy-Schwarz box, and each candidate passes the exact psd test.
+    The matrices grow one row and column at a time: the new diagonal entry
+    is even and fits the trace that is left, each entry against an earlier
+    row runs over that pair's Cauchy-Schwarz range, and the grown leading
+    block must pass the exact psd test.  Every leading block of a psd matrix
+    is psd, so a block that fails can only end in matrices that are not
+    indices, and cutting its branch loses none.
     Order: (trace, diagonal, upper triangle), so the output is deterministic.
     The result is memoized per (g, max_trace) and immutable, so every caller
     shares one enumeration.
@@ -149,22 +143,21 @@ def enumerate_indices(g: int, max_trace: int) -> tuple:
     if max_trace < 0 or max_trace % 2 != 0:
         raise InvalidIndexError(
             "max_trace must be a non-negative even integer")
-    pairs = [(p, q) for p in range(g) for q in range(p + 1, g)]
     out = []
-    for diag in _even_diagonals(g, max_trace):
-        ranges = []
-        for p, q in pairs:
-            b = math.isqrt(diag[p] * diag[q])
-            ranges.append(range(-b, b + 1))
-        for offs in itertools.product(*ranges):
-            m = [[0] * g for _ in range(g)]
-            for p in range(g):
-                m[p][p] = diag[p]
-            for (p, q), v in zip(pairs, offs):
-                m[p][q] = m[q][p] = v
-            s = as_entries(m)
-            if is_psd(s):
-                out.append(s)
+
+    def grow(block, left):
+        if len(block) == g:
+            out.append(block)
+            return
+        for d in range(0, left + 1, 2):
+            bounds = (math.isqrt(d * row[p]) for p, row in enumerate(block))
+            for col in itertools.product(*(range(-b, b + 1) for b in bounds)):
+                grown = tuple(row + (v,) for row, v in zip(block, col)) + \
+                    (col + (d,),)
+                if is_psd(grown):
+                    grow(grown, left - d)
+
+    grow((), max_trace)
     out.sort(key=lambda s: (trace(s), tuple(s[p][p] for p in range(g)),
                             tuple(upper_triangle(s))))
     return tuple(out)

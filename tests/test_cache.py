@@ -81,11 +81,17 @@ def test_put_after_torn_line_starts_a_new_line(tmp_path):
 
 def test_engine_version_gates_records(tmp_path):
     path = tmp_path / "c.jsonl"
-    old = CountCache(path, engine_version="0-obsolete")
-    old.put("E8", index_key(1, [2]), 999)           # wrong on purpose
+    CountCache(path).put("E8", index_key(1, [4]), 2160)
+    with open(path, "a", encoding="utf-8") as fh:
+        # a well-formed record of an obsolete engine, wrong on purpose
+        fh.write('{"count":"999","engine_version":"0-obsolete",'
+                 '"index_key":%s,"lattice_id":"E8"}\n'
+                 % json.dumps(index_key(1, [2])))
     current = CountCache(path)
-    assert current.engine_version == ENGINE_VERSION
+    assert current.stats()["engine_version"] == ENGINE_VERSION
     assert current.get("E8", index_key(1, [2])) is None
+    assert current.entries() == {("E8", index_key(1, [4])): 2160}
+    assert current.loaded_records == 1 and current.corrupt_records == 0
 
 
 def test_hits_plus_misses_equals_calls(tmp_path, e8):

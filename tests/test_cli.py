@@ -9,7 +9,7 @@ from conftest import load_schema
 from schottky_workbench import cli, schottky
 from schottky_workbench.cache import ENV_CACHE_PATH, CountCache
 from schottky_workbench.cli import main, parse_tau
-from schottky_workbench.expansion import SiegelPoint
+from schottky_workbench.expansion import FourierExpansion, SiegelPoint
 from schottky_workbench.lattices import Lattice, lattice_by_id
 
 
@@ -101,6 +101,22 @@ def test_siegel_phi_subcommand(capsys, tmp_path):
     assert phi["genus"] == 1
     assert [e["a"] for e in phi["entries"]] == ["1", "240", "2160"]
     jsonschema.validate(phi, load_schema("fourier-expansion.schema.json"))
+
+
+def test_index_listed_twice_is_an_input_error(capsys, tmp_path):
+    _, doc = run(capsys, "theta-coeffs", "--lattice", "E8", "--genus", "1",
+                 "--max-trace", "2")
+    doc["entries"].append({"S": [2], "a": "7"})      # E8 has 240 roots
+    with pytest.raises(ValueError, match="listed twice"):
+        FourierExpansion.from_json(doc)
+    # a genus-2 document the Siegel operator would otherwise accept
+    _, doc = run(capsys, "theta-coeffs", "--lattice", "E8", "--genus", "2",
+                 "--max-trace", "2")
+    doc["entries"].append(dict(doc["entries"][-1], a="7"))
+    src = tmp_path / "twice.json"
+    src.write_text(json.dumps(doc))
+    code, out = run(capsys, "siegel-phi", "--input", str(src))
+    assert code == 2 and "listed twice" in out["error"]
 
 
 def test_schottky_verify_pass(capsys, tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 from schottky_workbench import counting, indices as idx
 from schottky_workbench.cache import CountCache
-from schottky_workbench.counting import CountEngine, representation_count
+from schottky_workbench.counting import CountEngine
 from schottky_workbench.lattices import Lattice, short_vector_shells
 from schottky_workbench.theta import theta_expansion
 
@@ -174,10 +174,6 @@ def test_engine_without_cache_memoizes_once_per_call(e8):
     assert eng.cache.hits + eng.cache.misses == eng.calls
     assert eng.cache.hits >= 2
     assert eng.cache.puts == eng.cache.misses
-
-
-def test_representation_count_helper(e8):
-    assert representation_count(e8, ((2,),)) == 240
 
 
 def test_expansion_fills_one_store(e8):

@@ -1,6 +1,7 @@
 """Index-matrix enumeration and predicates, checked against brute force."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -29,6 +30,35 @@ def test_enumerate_genus2_matches_brute_force():
     got = set(idx.enumerate_indices(2, 4))
     assert got == _brute_indices_genus2(4)
     assert len(idx.enumerate_indices(2, 4)) == 10
+
+
+def _box_indices(g, max_trace):
+    """Oracle: every matrix of the full Cauchy-Schwarz box over the even
+    diagonals, kept when psd, in the enumeration's order."""
+    pairs = [(p, q) for p in range(g) for q in range(p + 1, g)]
+    out = []
+    for diag in itertools.product(range(0, max_trace + 1, 2), repeat=g):
+        if sum(diag) > max_trace:
+            continue
+        bounds = [math.isqrt(diag[p] * diag[q]) for p, q in pairs]
+        for offs in itertools.product(*(range(-b, b + 1) for b in bounds)):
+            m = [[0] * g for _ in range(g)]
+            for p in range(g):
+                m[p][p] = diag[p]
+            for (p, q), v in zip(pairs, offs):
+                m[p][q] = m[q][p] = v
+            if idx.is_psd(m):
+                out.append(idx.as_entries(m))
+    out.sort(key=lambda s: (idx.trace(s), tuple(s[p][p] for p in range(g)),
+                            tuple(idx.upper_triangle(s))))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_row_walk_matches_box(g):
+    for max_trace in range(0, 10, 2):
+        assert idx.enumerate_indices(g, max_trace) == \
+            _box_indices(g, max_trace), (g, max_trace)
 
 
 def test_enumeration_counts():
