@@ -92,8 +92,7 @@ def cmd_lattice_enum(args, cache) -> int:
     }
     if args.vectors:
         shells = short_vector_shells(lat, args.max_norm)
-        doc["vectors"] = {str(m): [[int(c) for c in row] for row in v]
-                          for m, v in shells.items()}
+        doc["vectors"] = {str(m): v.tolist() for m, v in shells.items()}
     # with --vectors these are the lengths of the shells just built
     doc["shell_sizes"] = {str(m): int(c) for m, c in
                           shell_sizes(lat, args.max_norm).items()}

@@ -133,11 +133,15 @@ def _isqrt(disc: np.ndarray) -> np.ndarray:
 
 
 def _expand(lo: np.ndarray, hi: np.ndarray):
-    """Row index and value of every integer in each interval [lo_k, hi_k]."""
+    """Row index and value of every integer in each interval [lo_k, hi_k].
+
+    A value with |x| > 32767 raises LatticeError: the walk keeps one half
+    of a shell, and the other half's coordinates are the negated ones.
+    """
     width = np.maximum(hi - lo + 1, 0)
     rep = np.repeat(np.arange(len(lo)), width)
     xi = np.arange(len(rep)) - np.repeat(np.cumsum(width) - width - lo, width)
-    if len(xi) and (xi.min() < -(1 << 15) or xi.max() >= 1 << 15):
+    if len(xi) and (xi.min() <= -(1 << 15) or xi.max() >= 1 << 15):
         raise LatticeError("coordinates exceed int16 range")
     return rep, xi
 
@@ -162,6 +166,12 @@ def _prefix_walk(gram: np.ndarray, max_norm: int, coords: bool):
     block, blocks in lexicographic order: int16 coordinates with the last
     column still zero (None unless `coords`), and q and h of the last
     coordinate.
+
+    Only the zero prefix and the lexicographically positive prefixes (first
+    nonzero coordinate > 0) are walked; their negations are the rest.  G is
+    positive definite, so q = 0 holds on the zero prefix alone, and its next
+    coordinate starts at 0.  The zero prefix is thus row 0 of the first
+    block at every level.
     """
     n = gram.shape[0]
     bound = float(max_norm) + 0.25
@@ -180,6 +190,7 @@ def _prefix_walk(gram: np.ndarray, max_norm: int, coords: bool):
         pad = 1e-7 * (1.0 + np.abs(c))
         lo = np.ceil(-c - radius - pad).astype(np.int64)
         hi = np.floor(-c + radius + pad).astype(np.int64)
+        lo[q == 0] = 0
         ends = np.cumsum(np.maximum(hi - lo + 1, 0))
         b = 0
         while b < len(lo):
@@ -209,15 +220,21 @@ def _prefix_walk(gram: np.ndarray, max_norm: int, coords: bool):
 
 
 def _vectors(gram: np.ndarray, max_norm: int, coords: bool):
-    """Blocks of every x with x^T G x <= max_norm, in lexicographic order:
+    """Blocks of every lexicographically positive x (first nonzero
+    coordinate > 0) with x^T G x <= max_norm, in lexicographic order:
     (int8 coordinates, None unless `coords`; exact int64 norms).
 
+    Every other vector of the ellipsoid is 0 or the negation of one of
+    these, and G is positive definite, so only 0 has norm 0.
     `_prefix_walk` fills every coordinate but the last, x, which ranges
     over the exact integer interval of a x^2 + 2 h x + q <= max_norm
-    (a = G_ll) with ends from `_isqrt`, so no norm needs a filter.  Memory
-    is the walk's bounded state plus one block.  Coordinates outside int16
-    (in the walk) or int8 (with `coords`) raise LatticeError, a
-    discriminant at or above 2**52 ArithmeticError.
+    (a = G_ll) with ends from `_isqrt`, so no norm needs a filter; on
+    the zero prefix (q = 0) it starts at 1.  Memory is the walk's bounded
+    state plus one block.  A coordinate with |x| > 32767 (in the walk) or,
+    with `coords`, |x| > 127 raises LatticeError, so negating a block never
+    wraps; the full ellipsoid is symmetric, so it reaches -128 exactly when
+    it reaches 128.  A discriminant at or above 2**52 raises
+    ArithmeticError.
     """
     gram = np.asarray(gram, dtype=np.int64)
     n = gram.shape[0]
@@ -226,12 +243,13 @@ def _vectors(gram: np.ndarray, max_norm: int, coords: bool):
         disc = h * h - a * (q - max_norm)
         r = _isqrt(np.maximum(disc, 0))
         lo = -((h + r) // a)
+        lo[q == 0] = 1
         hi = np.where(disc >= 0, (r - h) // a, lo - 1)
         rep, xi = _expand(lo, hi)
         if xs is not None:
             xs = xs[rep]
             xs[:, n - 1] = xi
-            if len(xs) and (xs.min() < -128 or xs.max() > 127):
+            if len(xs) and (xs.min() < -127 or xs.max() > 127):
                 raise LatticeError("coordinates exceed int8 range")
             xs = xs.astype(np.int8)
         yield xs, q[rep] + xi * (a * xi + 2 * h[rep])
@@ -240,14 +258,24 @@ def _vectors(gram: np.ndarray, max_norm: int, coords: bool):
 def _shells(gram: np.ndarray, max_norm: int) -> dict:
     """{m: int8 array of the vectors of norm m} for even m <= max_norm.
 
-    Each block of `_vectors` is split by norm as it arrives, so each shell
-    keeps the walk's lexicographic order with no sort.
+    Each block of `_vectors` is split by norm as it arrives, so each half
+    shell keeps the walk's lexicographic order with no sort.  Negation
+    reverses that order, so the full shell is -half[::-1] followed by half,
+    both written into one array.
     """
+    n = len(gram)
     parts = {}  # per norm from the first block: too big a bound raises first
     for xs, norms in _vectors(gram, max_norm, coords=True):
-        for m in range(0, max_norm + 1, 2):
+        for m in range(2, max_norm + 1, 2):
             parts.setdefault(m, []).append(xs[norms == m])
-    return {m: np.concatenate(parts.pop(m)) for m in range(0, max_norm + 1, 2)}
+    shells = {0: np.zeros((1, n), dtype=np.int8)}
+    for m in range(2, max_norm + 1, 2):
+        half = parts.pop(m)
+        k = sum(map(len, half))
+        shell = shells[m] = np.empty((2 * k, n), dtype=np.int8)
+        np.concatenate(half, out=shell[k:])
+        np.negative(shell[k:][::-1], out=shell[:k])
+    return shells
 
 
 def _shell_counts(gram: np.ndarray, max_norm: int) -> dict:
@@ -255,11 +283,13 @@ def _shell_counts(gram: np.ndarray, max_norm: int) -> dict:
 
     Bincounts the exact norms of `_vectors` block by block, with no
     coordinates: memory is the walk's bounded state plus one block's norms.
+    The walk visits one of x and -x, so each count m > 0 is twice its
+    bincount, and norm 0 has the zero vector alone.
     """
     counts = 0      # an array from the first block on (see `_shells`)
     for _, norms in _vectors(gram, max_norm, coords=False):
         counts = counts + np.bincount(norms // 2, minlength=max_norm // 2 + 1)
-    return {2 * k: int(c) for k, c in enumerate(counts)}
+    return {2 * k: 2 * int(c) if k else 1 for k, c in enumerate(counts)}
 
 
 def _check_norm(max_norm: int):

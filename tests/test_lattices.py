@@ -80,11 +80,25 @@ def test_rank16_shell_sizes_agree(d16, e8e8):
         {m: len(v) for m, v in b.items()} == {0: 1, 2: 480, 4: 61920}
 
 
-def test_shells_closed_under_negation(e8):
-    shells = short_vector_shells(e8, 4)
-    for m in (2, 4):
-        rows = {tuple(int(c) for c in r) for r in shells[m]}
-        assert rows == {tuple(-c for c in r) for r in rows}
+def _assert_mirrored(shells):
+    """Each shell m > 0 is its own reversed negation, rows strictly
+    increasing; the shell of norm 0 is the zero vector."""
+    assert not shells[0].any() and len(shells[0]) == 1
+    for m, shell in shells.items():
+        if m == 0:
+            continue
+        assert np.array_equal(shell, -shell[::-1]), m
+        rows = shell.tolist()
+        assert all(a < b for a, b in zip(rows, rows[1:])), m
+
+
+def test_shells_closed_under_negation():
+    # the walk builds one half of each shell and negates it for the other
+    for name, max_norm in [("E8", 6), ("D16plus", 4), ("E8E8", 4)]:
+        _assert_mirrored(short_vector_shells(lattice_by_id(name), max_norm))
+    for seed in range(3):
+        for gram, max_norm in _random_even_grams(seed, 3):
+            _assert_mirrored(_shells(gram, max_norm))
 
 
 def test_exact_norms(d16):
@@ -162,6 +176,23 @@ def test_enumeration_refuses_int16_coordinates():
         _shell_counts(np.array([[2]]), 2 * 32768 ** 2)
     with pytest.raises(LatticeError, match="int8"):
         _enumerate_array(np.array([[2]]), 2 * 32767 ** 2)
+    # int8 holds +-127, so negating a half shell never wraps; a walk that
+    # reached -128 would reach 128 too
+    shells = _shells(np.array([[2]]), 2 * 127 ** 2)
+    assert shells[2 * 127 ** 2].ravel().tolist() == [-127, 127]
+    with pytest.raises(LatticeError, match="int8"):
+        _shells(np.array([[2]]), 2 * 128 ** 2)
+    # 2 x_0^2 + 2 (x_1 + k x_0)^2 has the norm-2 vectors +-(1, -k): the walk
+    # keeps (1, -k) alone, so only a guard on |x| sees the -(1, -k) it drops
+    def skew(k):
+        return np.array([[2 * k * k + 2, 2 * k], [2 * k, 2]])
+    assert _shells(skew(127), 2)[2].tolist() == \
+        [[-1, 127], [0, -1], [0, 1], [1, -127]]
+    with pytest.raises(LatticeError, match="int8"):
+        _shells(skew(128), 2)
+    assert _shell_counts(skew(32767), 2) == {0: 1, 2: 4}
+    with pytest.raises(LatticeError, match="int16"):
+        _shell_counts(skew(32768), 2)
 
 
 def _enumerate_array_reference(gram, max_norm):
@@ -254,13 +285,15 @@ def test_enumeration_matches_reference(name, max_norm):
 
 
 def test_enumeration_blocks_match_reference(monkeypatch):
-    # blocks of 3 prefixes: every level is cut many times
-    gram = lattice_by_id("E8").gram_array
-    want = _enumerate_array_reference(gram, 6)
-    counts = {m: int((want[1] == m).sum()) for m in range(0, 7, 2)}
+    # blocks of 3 prefixes: every level is cut many times (D16+ into over
+    # ten thousand blocks) and the zero prefix must stay in row 0
     monkeypatch.setattr(lattices, "_WALK_ROWS", 3)
-    _assert_same_arrays(_enumerate_array(gram, 6), want)
-    assert _shell_counts(gram, 6) == counts
+    for name, max_norm in [("E8", 6), ("D16plus", 4)]:
+        gram = lattice_by_id(name).gram_array
+        want = _enumerate_array_reference(gram, max_norm)
+        _assert_same_arrays(_enumerate_array(gram, max_norm), want)
+        assert _shell_counts(gram, max_norm) == {
+            m: int((want[1] == m).sum()) for m in range(0, max_norm + 1, 2)}
 
 
 @pytest.mark.parametrize("seed", range(6))
