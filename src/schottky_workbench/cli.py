@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Every subcommand prints one JSON document on standard output.  Exit codes:
+Each subcommand returns (exit code, document) and prints nothing; `main`
+stamps the document with `command` and `generated_at`, or replaces it with
+{"error": ...} when the subcommand raises a usage or input error, and writes
+it to standard output as one line of JSON with sorted keys.  Exit codes:
 0 success / verification passed, 1 verification failed (the JSON carries the
 counterexample), 2 usage or input error, including an unusable cache file
-(the JSON is an error object).
+(argparse reports a bad command line on standard error instead).
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from datetime import datetime, timezone
 from . import indices as idx
 from .cache import ENV_CACHE_PATH, cache_from_env
 from .counting import CountEngine
-from .expansion import (DomainError, FourierExpansion, SiegelPoint, evaluate,
-                        siegel_operator)
+from .expansion import FourierExpansion, SiegelPoint, evaluate, \
+    siegel_operator
 from .fay import DegenerationData, fay_check
 from .lattices import UnsupportedLatticeError, lattice_by_id, shell_sizes, \
     short_vector_shells
@@ -31,13 +34,6 @@ EXIT_USAGE = 2
 
 class UsageError(Exception):
     """Bad command-line input or malformed input file."""
-
-
-def _emit(doc: dict):
-    doc = dict(doc)
-    doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
 
 
 def parse_tau(text: str, g: int) -> SiegelPoint:
@@ -82,64 +78,47 @@ def _read_doc(path: str) -> dict:
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_lattice_enum(args, cache) -> int:
+def cmd_lattice_enum(args, cache) -> tuple:
     lat = _lattice(args.lattice)
-    doc = {
-        "command": "lattice-enum",
-        "lattice": lat.name,
-        "rank": lat.rank,
-        "max_norm": args.max_norm,
-    }
+    doc = {"lattice": lat.name, "rank": lat.rank, "max_norm": args.max_norm}
     if args.vectors:
         shells = short_vector_shells(lat, args.max_norm)
         doc["vectors"] = {str(m): v.tolist() for m, v in shells.items()}
     # with --vectors these are the lengths of the shells just built
     doc["shell_sizes"] = {str(m): int(c) for m, c in
                           shell_sizes(lat, args.max_norm).items()}
-    _emit(doc)
-    return EXIT_OK
+    return EXIT_OK, doc
 
 
-def cmd_theta_coeffs(args, cache) -> int:
+def cmd_theta_coeffs(args, cache) -> tuple:
     lat = _lattice(args.lattice)
-    f = theta_expansion(lat, args.genus, args.max_trace, cache=cache)
-    doc = f.to_json()
-    doc["command"] = "theta-coeffs"
+    doc = theta_expansion(lat, args.genus, args.max_trace, cache=cache).to_json()
     doc["lattice"] = lat.name
-    _emit(doc)
-    return EXIT_OK
+    return EXIT_OK, doc
 
 
-def cmd_siegel_phi(args, cache) -> int:
+def cmd_siegel_phi(args, cache) -> tuple:
     try:
         f = FourierExpansion.from_json(_read_doc(args.input))
-        phi = siegel_operator(f)
-    except (ValueError, KeyError) as exc:
+        return EXIT_OK, siegel_operator(f).to_json()
+    except ValueError as exc:
         raise UsageError(f"bad expansion document: {exc}") from None
-    doc = phi.to_json()
-    doc["command"] = "siegel-phi"
-    _emit(doc)
-    return EXIT_OK
 
 
-def cmd_schottky_verify(args, cache) -> int:
+def cmd_schottky_verify(args, cache) -> tuple:
     if args.genus <= 3:
         rep = verify_vanishing(args.genus, args.max_trace, cache=cache)
-        rep["command"] = "schottky-verify"
-        _emit(rep)
-        return EXIT_OK if rep["status"] == "pass" else EXIT_FAIL
-    rep = nonzero_report(args.genus, args.max_trace, cache=cache)
-    nonzero = rep["nonzero_indices"]
-    rep["command"] = "schottky-verify"
-    # from genus 4 on the expected outcome is a nonzero difference
-    rep["status"] = "pass" if nonzero else "fail"
-    if nonzero:
-        rep["first_nonzero"] = dict(nonzero[0])
-    _emit(rep)
-    return EXIT_OK if nonzero else EXIT_FAIL
+    else:
+        rep = nonzero_report(args.genus, args.max_trace, cache=cache)
+        nonzero = rep["nonzero_indices"]
+        # from genus 4 on the expected outcome is a nonzero difference
+        rep["status"] = "pass" if nonzero else "fail"
+        if nonzero:
+            rep["first_nonzero"] = dict(nonzero[0])
+    return (EXIT_OK if rep["status"] == "pass" else EXIT_FAIL), rep
 
 
-def cmd_eval(args, cache) -> int:
+def cmd_eval(args, cache) -> tuple:
     if not 0 <= args.tolerance < float("inf"):
         raise ValueError("tolerance must be finite and >= 0")
     lat = _lattice(args.lattice)
@@ -154,8 +133,7 @@ def cmd_eval(args, cache) -> int:
     scale = max(abs(a), abs(b), 1e-300)
     rel = diff / scale
     passed = rel <= args.tolerance
-    _emit({
-        "command": "eval",
+    return (EXIT_OK if passed else EXIT_FAIL), {
         "lattice": lat.name,
         "genus": args.genus,
         "max_trace": args.max_trace,
@@ -167,14 +145,13 @@ def cmd_eval(args, cache) -> int:
         "rel_difference": rel,
         "tolerance": args.tolerance,
         "status": "pass" if passed else "fail",
-    })
-    return EXIT_OK if passed else EXIT_FAIL
+    }
 
 
-def cmd_fay_check(args, cache) -> int:
+def cmd_fay_check(args, cache) -> tuple:
     try:
         data = DegenerationData.from_json(_read_doc(args.input))
-    except (ValueError, KeyError, TypeError, DomainError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"bad degeneration-data document: {exc}") from None
     g = data.g
     max_trace = args.max_trace if args.max_trace is not None \
@@ -182,17 +159,15 @@ def cmd_fay_check(args, cache) -> int:
     lat = _lattice(args.lattice)
     f = theta_expansion(lat, g, max_trace, cache=cache)
     f_next = theta_expansion(lat, g + 1, max_trace, cache=cache)
-    rep = fay_check(data, f, f_next=f_next)
-    rep["command"] = "fay-check"
+    rep = fay_check(data, f, f_next)
     rep["lattice"] = lat.name
     rep["max_trace"] = max_trace
-    _emit(rep)
-    return EXIT_OK if rep["status"] == "pass" else EXIT_FAIL
+    return (EXIT_OK if rep["status"] == "pass" else EXIT_FAIL), rep
 
 
-def cmd_cache_stats(args, cache) -> int:
+def cmd_cache_stats(args, cache) -> tuple:
     doc = cache.stats()
-    doc["command"] = "cache-stats"
+    code = EXIT_OK
     if args.verify_cache:
         def recompute(lattice_id, key):
             try:
@@ -206,10 +181,8 @@ def cmd_cache_stats(args, cache) -> int:
         mismatches = cache.verify_sample(recompute, fraction=args.fraction)
         doc["verified_fraction"] = args.fraction
         doc["mismatches"] = mismatches
-        _emit(doc)
-        return EXIT_OK if not mismatches else EXIT_FAIL
-    _emit(doc)
-    return EXIT_OK
+        code = EXIT_FAIL if mismatches else EXIT_OK
+    return code, doc
 
 
 # -- parser ----------------------------------------------------------------
@@ -294,16 +267,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args, cache_from_env(args.cache))
+        code, doc = args.func(args, cache_from_env(args.cache))
+        doc["command"] = args.command
+        doc["generated_at"] = datetime.now(timezone.utc).isoformat()
     except UsageError as exc:
-        json.dump({"error": str(exc)}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return EXIT_USAGE
-    except (ValueError, KeyError, DomainError, OSError) as exc:
-        json.dump({"error": f"{type(exc).__name__}: {exc}"}, sys.stdout,
-                  indent=2)
-        sys.stdout.write("\n")
-        return EXIT_USAGE
+        code, doc = EXIT_USAGE, {"error": str(exc)}
+    except (ValueError, KeyError, OSError) as exc:
+        code, doc = EXIT_USAGE, {"error": f"{type(exc).__name__}: {exc}"}
+    # json.dumps without indent is what runs the C encoder; an indented dump
+    # runs the pure-Python one, ten times slower on a large --vectors document
+    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

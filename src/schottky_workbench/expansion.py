@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +27,11 @@ import numpy as np
 from . import indices as idx
 
 SERIALIZATION_VERSION = 1
+_DECIMAL = re.compile(r"-?[0-9]+")      # ASCII only, unlike int()
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
 
 
 class IncompatibleExpansionError(ValueError):
@@ -222,19 +228,41 @@ class FourierExpansion:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FourierExpansion":
-        if doc.get("format") != "fourier-expansion" or \
-                doc.get("version") != SERIALIZATION_VERSION:
+        """Read a document of fourier-expansion.schema.json; anything else,
+        such as a bool or a float where an integer belongs, raises
+        ValueError."""
+        if not isinstance(doc, dict) or \
+                doc.get("format") != "fourier-expansion" or \
+                not _is_int(doc.get("version")) or \
+                doc["version"] != SERIALIZATION_VERSION:
             raise ValueError("not a supported fourier-expansion document")
-        g = int(doc["genus"])
+        doc = {"prefactor_power": 0, **doc}
+        for name, least in (("genus", 1), ("weight", -math.inf),
+                            ("max_trace", 0), ("prefactor_power", 0)):
+            val = doc.get(name)
+            if not _is_int(val) or val < least:
+                raise ValueError(f"{name} {val!r} is not an integer >= "
+                                 f"{least}")
+        g = doc["genus"]
+        entries = doc.get("entries")
+        if not isinstance(entries, list):
+            raise ValueError("entries must be a list")
         coeffs = {}
-        for ent in doc["entries"]:
+        for ent in entries:
+            if not isinstance(ent, dict) or ent.keys() != {"S", "a"}:
+                raise ValueError(f"entry {ent!r} is not an object of S and a")
+            if not isinstance(ent["S"], list) or \
+                    not all(_is_int(v) for v in ent["S"]):
+                raise ValueError(f"S {ent['S']!r} is not a list of integers")
+            if not isinstance(ent["a"], str) or \
+                    not _DECIMAL.fullmatch(ent["a"]):
+                raise ValueError(f"a {ent['a']!r} is not a decimal string")
             s = idx.from_upper_triangle(g, ent["S"])
             if s in coeffs:
                 raise ValueError(f"index {ent['S']} is listed twice")
             coeffs[s] = int(ent["a"])
-        return cls(g=g, weight=int(doc["weight"]),
-                   max_trace=int(doc["max_trace"]), coeffs=coeffs,
-                   prefactor_power=int(doc.get("prefactor_power", 0)))
+        return cls(g=g, weight=doc["weight"], max_trace=doc["max_trace"],
+                   coeffs=coeffs, prefactor_power=doc["prefactor_power"])
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), separators=(",", ":"),

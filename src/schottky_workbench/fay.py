@@ -79,7 +79,9 @@ class DegenerationData:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DegenerationData":
-        g = int(doc["genus"])
+        g = doc["genus"]
+        if not isinstance(g, int) or isinstance(g, bool):
+            raise ValueError(f"genus {g!r} is not an integer")
         tau = SiegelPoint(g, tuple(
             tuple(_as_complex(doc["tau"][p][q]) for q in range(g))
             for p in range(g)))
@@ -334,17 +336,15 @@ def degeneration_limit_check(f_next: FourierExpansion, f: FourierExpansion,
 
 
 def fay_check(data: DegenerationData, f: FourierExpansion,
-              f_next: FourierExpansion = None,
-              n: DerivativePolynomial = None,
+              f_next: FourierExpansion,
               derivative_tolerance: float = 1e-5) -> dict:
     """Run the full battery of degeneration checks against one data set.
 
-    f is a genus-g expansion; f_next, when given, must be a genus-(g+1)
-    expansion whose Siegel-operator image is f (used for the limit check and
-    the B invariance)."""
+    f is a genus-g expansion and f_next a genus-(g+1) expansion whose
+    Siegel-operator image is f (used for the limit check and the B
+    invariance).  The derivative polynomial is the constant 1."""
     g = data.g
-    if n is None:
-        n = DerivativePolynomial.constant(g)
+    n = DerivativePolynomial.constant(g)
     sigma = sigma_matrix(data.lambda_ * np.asarray(data.v_a),
                          data.mu * np.asarray(data.v_b))
     checks = [
@@ -360,13 +360,12 @@ def fay_check(data: DegenerationData, f: FourierExpansion,
         "lambda": _pair(data.lambda_),
         "mu": _pair(data.mu),
     }
-    if f_next is not None:
-        n_next = DerivativePolynomial.constant(g + 1)
-        b_val = coefficient_B(f_next, n_next, data.tau, data.aj)
-        gamma1 = cmath.exp(data.c1)
-        report["B"] = _pair(b_val)
-        report["t_coefficient"] = _pair(a_val + gamma1 * b_val)
-        checks.append(degeneration_limit_check(f_next, f, data))
+    n_next = DerivativePolynomial.constant(g + 1)
+    b_val = coefficient_B(f_next, n_next, data.tau, data.aj)
+    gamma1 = cmath.exp(data.c1)
+    report["B"] = _pair(b_val)
+    report["t_coefficient"] = _pair(a_val + gamma1 * b_val)
+    checks.append(degeneration_limit_check(f_next, f, data))
     report["checks"] = [c.to_json() for c in checks]
     report["status"] = "pass" if all(c.passed for c in checks) else "fail"
     return report

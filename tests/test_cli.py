@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, schema validity."""
 
 import json
+from datetime import datetime
 
 import jsonschema
 import pytest
@@ -80,7 +81,7 @@ def test_lattice_enum_sizes_count_only(capsys, monkeypatch, lattice,
 def test_lattice_enum_rejects_odd_norm(capsys):
     code, doc = run(capsys, "lattice-enum", "--lattice", "E8",
                     "--max-norm", "3")
-    assert code == 2 and "error" in doc
+    assert code == 2 and doc.keys() == {"error"}
 
 
 def test_theta_coeffs_and_schema(capsys):
@@ -116,7 +117,30 @@ def test_index_listed_twice_is_an_input_error(capsys, tmp_path):
     src = tmp_path / "twice.json"
     src.write_text(json.dumps(doc))
     code, out = run(capsys, "siegel-phi", "--input", str(src))
-    assert code == 2 and "listed twice" in out["error"]
+    assert code == 2 and out.keys() == {"error"}
+    assert "listed twice" in out["error"]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: [doc],
+    lambda doc: dict(doc, entries=5),
+    lambda doc: dict(doc, genus=None),
+    lambda doc: dict(doc, genus=2.5),
+    lambda doc: dict(doc, version=True),
+    lambda doc: dict(doc, entries=[dict(doc["entries"][0], a=True)]),
+    lambda doc: dict(doc, entries=[dict(doc["entries"][0], a="\u0661")]),
+    lambda doc: dict(doc, entries=[dict(doc["entries"][1], S=[0, 0, 2.5])]),
+], ids=["array", "entries-int", "genus-null", "genus-float", "version-bool",
+        "a-bool", "a-non-ascii-digit", "S-float"])
+def test_siegel_phi_refuses_malformed_documents(capsys, tmp_path, mutate):
+    _, doc = run(capsys, "theta-coeffs", "--lattice", "E8", "--genus", "2",
+                 "--max-trace", "2")
+    assert doc["entries"][1]["S"] == [0, 0, 2]
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(mutate(doc)))
+    code, out = run(capsys, "siegel-phi", "--input", str(src))
+    assert code == 2 and out.keys() == {"error"}
+    assert "bad expansion document" in out["error"]
 
 
 def test_schottky_verify_pass(capsys, tmp_path, monkeypatch):
@@ -173,6 +197,11 @@ def test_fay_check_subcommand(capsys, tmp_path):
     assert code == 0
     assert doc["status"] == "pass"
     jsonschema.validate(doc, load_schema("verification-report.schema.json"))
+    src.write_text(json.dumps(dict(data, genus=1.7)))
+    code, doc = run(capsys, "fay-check", "--input", str(src),
+                    "--max-trace", "8")
+    assert code == 2 and doc.keys() == {"error"}
+    assert "bad degeneration-data document" in doc["error"]
 
 
 def test_cache_stats_and_verify(capsys, tmp_path, monkeypatch):
@@ -197,28 +226,59 @@ def test_usage_error_is_machine_readable(capsys, tmp_path):
     code, doc = run(capsys, "eval", "--lattice", "E8", "--genus", "1",
                     "--tau", "garbage", "--max-trace", "4")
     assert code == 2
-    assert "error" in doc
+    assert doc.keys() == {"error"}
     code = main(["siegel-phi", "--input", str(tmp_path / "absent.json")])
     out = json.loads(capsys.readouterr().out)
-    assert code == 2 and "error" in out
+    assert code == 2 and out.keys() == {"error"}
     code, doc = run(capsys, "theta-coeffs", "--lattice", "E8", "--genus", "1",
                     "--max-trace", "2",
                     "--cache", str(tmp_path / "absent" / "c.jsonl"))
-    assert code == 2 and "FileNotFoundError" in doc["error"]
+    assert code == 2 and doc.keys() == {"error"}
+    assert "FileNotFoundError" in doc["error"]
     code, doc = run(capsys, "cache-stats", "--verify-cache", "--fraction", "0",
                     "--cache", str(tmp_path / "c.jsonl"))
-    assert code == 2 and "fraction must be in (0, 1]" in doc["error"]
+    assert code == 2 and doc.keys() == {"error"}
+    assert "fraction must be in (0, 1]" in doc["error"]
     bad = CountCache(tmp_path / "bad.jsonl")
     bad.put("E8", "5", 240)                  # JSON, but not {"g", "u"}
     code, doc = run(capsys, "cache-stats", "--verify-cache",
                     "--fraction", "1", "--cache", bad.path)
-    assert code == 2 and "is not an index" in doc["error"]
+    assert code == 2 and doc.keys() == {"error"}
+    assert "is not an index" in doc["error"]
     for tolerance in ("nan", "-1", "inf"):
         code, doc = run(capsys, "eval", "--lattice", "E8", "--genus", "1",
                         "--max-trace", "4", "--tau", "1.2i",
                         "--tolerance", tolerance)
-        assert code == 2, tolerance
+        assert code == 2 and doc.keys() == {"error"}, tolerance
         assert "tolerance must be finite and >= 0" in doc["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice-enum", "--lattice", "E8", "--max-norm", "2"],
+    ["theta-coeffs", "--lattice", "E8", "--genus", "1", "--max-trace", "2"],
+    ["siegel-phi", "--input", "expansion.json"],
+    ["schottky-verify", "--genus", "1", "--max-trace", "2"],
+    ["eval", "--lattice", "E8", "--genus", "1", "--tau", "i",
+     "--max-trace", "4", "--budget", "4"],
+    ["fay-check", "--input", "degeneration.json", "--max-trace", "8"],
+    ["cache-stats"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_writes_one_stamped_line(capsys, tmp_path,
+                                                  monkeypatch, argv):
+    monkeypatch.setenv(ENV_CACHE_PATH, str(tmp_path / "c.jsonl"))
+    monkeypatch.chdir(tmp_path)
+    _, expansion = run(capsys, "theta-coeffs", "--lattice", "E8",
+                       "--genus", "2", "--max-trace", "2")
+    (tmp_path / "expansion.json").write_text(json.dumps(expansion))
+    (tmp_path / "degeneration.json").write_text(json.dumps(
+        {"genus": 1, "tau": [[[0.0, 1.3]]], "v_a": [0.1], "v_b": [0.2]}))
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["command"] == argv[0]
+    datetime.fromisoformat(doc["generated_at"])
 
 
 def test_unknown_subcommand_exits_2(capsys):
