@@ -5,8 +5,9 @@ stamps the document with `command` and `generated_at`, or replaces it with
 {"error": ...} when the subcommand raises a usage or input error, and writes
 it to standard output as one line of JSON with sorted keys.  Exit codes:
 0 success / verification passed, 1 verification failed (the JSON carries the
-counterexample), 2 usage or input error, including an unusable cache file
-(argparse reports a bad command line on standard error instead).
+counterexample), 2 usage or input error, including a command line that the
+parser rejects and an unusable cache file.  Only --help prints text instead,
+and exits 0.
 """
 
 from __future__ import annotations
@@ -34,6 +35,14 @@ EXIT_USAGE = 2
 
 class UsageError(Exception):
     """Bad command-line input or malformed input file."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises UsageError where argparse would print
+    usage and exit 2; add_subparsers makes its subparsers of this class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def parse_tau(text: str, g: int) -> SiegelPoint:
@@ -189,7 +198,7 @@ def cmd_cache_stats(args, cache) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="schottky-workbench",
         description="Siegel theta series, the Schottky form, and "
                     "first-order period-matrix degenerations.")
@@ -261,15 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         code, doc = args.func(args, cache_from_env(args.cache))
         doc["command"] = args.command
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
+    except SystemExit:
+        # only --help exits, after printing its text: _Parser raises
+        # UsageError for a rejected command line
+        return EXIT_OK
     except UsageError as exc:
         code, doc = EXIT_USAGE, {"error": str(exc)}
     except (ValueError, KeyError, OSError) as exc:

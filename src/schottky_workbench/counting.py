@@ -62,30 +62,18 @@ class CountEngine:
     # -- reductions ------------------------------------------------------
 
     def _compute(self, s) -> int:
+        """Count the valid, hence psd, index s: there a norm-0 slot has a
+        zero row, and Cauchy-Schwarz equality s_pq^2 = s_pp s_qq > 0 makes
+        row q r times row p, r = s_pq / s_pp.  So the reductions only drop
+        slots: each norm-0 one, else the first q with r integral."""
         g = len(s)
-        # zero-norm slots: a norm-0 vector is the zero vector
-        zero = [p for p in range(g) if s[p][p] == 0]
-        if zero:
-            for p in zero:
-                if any(s[p][q] != 0 for q in range(g)):
-                    return 0
-            keep = [p for p in range(g) if p not in zero]
-            if not keep:
-                return 1
-            minor = tuple(tuple(s[p][q] for q in keep) for p in keep)
-            return self.count(minor)
-        # Cauchy-Schwarz equality forces x_q to be a multiple of x_p
-        for p in range(g):
-            for q in range(p + 1, g):
-                if s[p][q] * s[p][q] == s[p][p] * s[q][q]:
-                    if s[p][q] % s[p][p] == 0:
-                        r = s[p][q] // s[p][p]
-                        if any(s[q][j] != r * s[p][j]
-                               for j in range(g) if j != q):
-                            return 0
-                        keep = [j for j in range(g) if j != q]
-                        minor = tuple(tuple(s[a][b] for b in keep) for a in keep)
-                        return self.count(minor)
+        drop = [p for p in range(g) if s[p][p] == 0] or [
+            q for p in range(g) for q in range(p + 1, g)
+            if s[p][q] ** 2 == s[p][p] * s[q][q] and not s[p][q] % s[p][p]][:1]
+        if drop:
+            keep = [p for p in range(g) if p not in drop]
+            return self.count(tuple(tuple(s[a][b] for b in keep)
+                                    for a in keep)) if keep else 1
         if g == 1:
             # a shell size: counted, the shell itself is never built
             return shell_sizes(self.lattice, s[0][0])[s[0][0]]

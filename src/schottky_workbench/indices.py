@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -149,7 +149,10 @@ def enumerate_indices(g: int, max_trace: int) -> tuple:
         if len(block) == g:
             out.append(block)
             return
-        for d in range(0, left + 1, 2):
+        # d = 0 borders the block with zeros, psd as the block is: no test
+        grow(tuple(row + (0,) for row in block) + ((0,) * (len(block) + 1),),
+             left)
+        for d in range(2, left + 1, 2):
             bounds = (math.isqrt(d * row[p]) for p, row in enumerate(block))
             for col in itertools.product(*(range(-b, b + 1) for b in bounds)):
                 grown = tuple(row + (v,) for row, v in zip(block, col)) + \
@@ -166,12 +169,23 @@ def enumerate_indices(g: int, max_trace: int) -> tuple:
 @dataclass(frozen=True, eq=False)
 class IndexTable:
     """enumerate_indices(g, max_trace) as `keys`, a read-only K x g x g int64
-    array `mats` and a key -> row map `rows`.  Every key in `rows` is valid,
-    and a smaller trace's table is a prefix of a larger one's."""
+    array `mats`, a key -> row map `rows` and, built on first use, each row's
+    class: class_keys[classes[r]] == canonical_signed_perm(keys[r]), classes
+    numbered by first row.  Every key in `rows` is valid, and a smaller
+    trace's table and classes are prefixes of a larger one's."""
 
     keys: tuple
     mats: np.ndarray
     rows: dict
+    class_keys = property(lambda self: self._classes[0])
+    classes = property(lambda self: self._classes[1])
+
+    @cached_property
+    def _classes(self) -> tuple:
+        first = {}
+        column = tuple(first.setdefault(canonical_signed_perm(s), len(first))
+                       for s in self.keys)
+        return tuple(first), column
 
 
 @lru_cache(maxsize=None)

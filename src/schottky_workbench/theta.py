@@ -24,12 +24,13 @@ def theta_expansion(lat: Lattice, g: int, max_trace: int,
     """Fourier expansion of the genus-g theta series, weight rank/2.
 
     The coefficient at S is the number of g-tuples of lattice vectors with
-    Gram matrix S.
+    Gram matrix S, counted once per class of the index table.
     """
     engine = CountEngine(lat, cache)
-    keys = idx.index_table(g, max_trace).keys
+    table = idx.index_table(g, max_trace)
+    counts = [engine.count(s) for s in table.class_keys]
     return FourierExpansion(g=g, weight=lat.rank // 2, max_trace=max_trace,
-                            coeffs=[engine.count(s) for s in keys])
+                            coeffs=[counts[c] for c in table.classes])
 
 
 def default_norm_budget(max_trace: int) -> int:

@@ -281,8 +281,31 @@ def test_every_subcommand_writes_one_stamped_line(capsys, tmp_path,
     datetime.fromisoformat(doc["generated_at"])
 
 
+def _error_line(capsys, argv) -> dict:
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 2 and out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc.keys() == {"error"}
+    return doc
+
+
 def test_unknown_subcommand_exits_2(capsys):
-    assert main(["no-such-command"]) == 2
+    doc = _error_line(capsys, ["no-such-command"])
+    assert "invalid choice: 'no-such-command'" in doc["error"]
+
+
+def test_rejected_options_exit_2_with_an_error_document(capsys):
+    doc = _error_line(capsys, ["lattice-enum", "--lattice", "E8"])
+    assert "--max-norm" in doc["error"]
+    doc = _error_line(capsys, ["lattice-enum", "--lattice", "E8",
+                               "--max-norm", "two"])
+    assert "invalid int value" in doc["error"]
+
+
+def test_help_exits_0_with_its_text(capsys):
+    assert main(["lattice-enum", "--help"]) == 0
+    assert "--max-norm" in capsys.readouterr().out
 
 
 def test_reproducible_output_modulo_timestamp(capsys):

@@ -45,6 +45,24 @@ def test_tables_are_prefixes_and_phi_is_a_row_mask(g):
             assert minors == idx.index_table(g - 1, top).keys
 
 
+@pytest.mark.parametrize("g,top", [(1, 8), (2, 8), (3, 8), (4, 8), (5, 6)])
+def test_class_column_holds_each_rows_canonical_key(g, top):
+    full = idx.index_table(g, top)
+    assert len(set(full.class_keys)) == len(full.class_keys)
+    for t in range(0, top + 1, 2):
+        table = idx.index_table(g, t)
+        for r, s in enumerate(table.keys):
+            assert table.class_keys[table.classes[r]] == \
+                idx.canonical_signed_perm(s)
+        assert table.classes == full.classes[:len(table.keys)]
+        assert table.class_keys == full.class_keys[:len(table.class_keys)]
+
+
+def test_class_counts():
+    for (g, t), n in {(2, 8): 20, (3, 8): 44, (4, 6): 18, (4, 8): 70}.items():
+        assert len(idx.index_table(g, t).class_keys) == n, (g, t)
+
+
 def test_table_arrays_match_keys():
     t = idx.index_table(3, 6)
     assert t.mats.shape == (len(t.keys), 3, 3) and not t.mats.flags.writeable

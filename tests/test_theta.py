@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from schottky_workbench import counting, theta
+from schottky_workbench import indices as idx
+from schottky_workbench.cache import CountCache
 from schottky_workbench.expansion import SiegelPoint, evaluate, siegel_operator
 from schottky_workbench.lattices import direct_sum, short_vector_shells
 from schottky_workbench.theta import (default_norm_budget, theta_eval,
@@ -194,3 +196,32 @@ def test_tail_estimate_reported(e8):
     assert res.tail_estimate > 0
     far = theta_eval(e8, 1, SiegelPoint.scalar(1, 3j), 8)
     assert far.tail_estimate < res.tail_estimate
+
+
+def test_theta_expansion_counts_once_per_class(e8, monkeypatch):
+    cache = CountCache()
+    cold = theta_expansion(e8, 4, 6, cache)
+    calls = []
+    real = counting.CountEngine.count
+
+    def count(self, target):
+        calls.append(target)
+        return real(self, target)
+
+    monkeypatch.setattr(counting.CountEngine, "count", count)
+    assert theta_expansion(e8, 4, 6, cache) == cold
+    assert len(calls) == 18
+    assert calls == list(idx.index_table(4, 6).class_keys)
+
+
+@pytest.mark.parametrize("name,g,top", [("e8", 3, 8), ("d16", 2, 6)])
+def test_class_counts_match_a_count_per_row(name, g, top, tmp_path, request):
+    # the per-row loop is the oracle: same column, same records in the same
+    # order in a cold file cache
+    lat = request.getfixturevalue(name)
+    engine = counting.CountEngine(lat, CountCache(tmp_path / "rows.jsonl"))
+    column = [engine.count(s) for s in idx.index_table(g, top).keys]
+    f = theta_expansion(lat, g, top, CountCache(tmp_path / "classes.jsonl"))
+    assert list(f.column) == column
+    assert (tmp_path / "classes.jsonl").read_bytes() == \
+        (tmp_path / "rows.jsonl").read_bytes()
