@@ -21,7 +21,7 @@ from . import indices as idx
 from .cache import ENV_CACHE_PATH, cache_from_env
 from .counting import CountEngine
 from .expansion import FourierExpansion, SiegelPoint, evaluate, \
-    siegel_operator
+    json_complex, siegel_operator
 from .fay import DegenerationData, fay_check
 from .lattices import UnsupportedLatticeError, lattice_by_id, shell_sizes, \
     short_vector_shells
@@ -47,17 +47,16 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_tau(text: str, g: int) -> SiegelPoint:
     """Parse a tau argument: either a complex scalar z (meaning z * identity)
-    or a JSON matrix of [re, im] pairs.
+    or a JSON matrix whose entries expansion.json_complex reads.
 
     Scalar grammar: [real [+|-]] imag "i", e.g. "i", "1.2i", "0.3+1.2i".
     """
     text = text.strip()
     if text.startswith("["):
         try:
-            rows = json.loads(text)
-            tau = tuple(tuple(complex(float(e[0]), float(e[1])) for e in row)
-                        for row in rows)
-        except (ValueError, TypeError, IndexError) as exc:
+            tau = tuple(tuple(map(json_complex, row))
+                        for row in json.loads(text))
+        except (ValueError, TypeError) as exc:
             raise UsageError(f"bad tau matrix: {exc}") from None
         return SiegelPoint(g, tau)
     try:
@@ -166,9 +165,7 @@ def cmd_fay_check(args, cache) -> tuple:
     max_trace = args.max_trace if args.max_trace is not None \
         else (8 if g <= 2 else 6)
     lat = _lattice(args.lattice)
-    f = theta_expansion(lat, g, max_trace, cache=cache)
-    f_next = theta_expansion(lat, g + 1, max_trace, cache=cache)
-    rep = fay_check(data, f, f_next)
+    rep = fay_check(data, theta_expansion(lat, g + 1, max_trace, cache=cache))
     rep["lattice"] = lat.name
     rep["max_trace"] = max_trace
     return (EXIT_OK if rep["status"] == "pass" else EXIT_FAIL), rep
@@ -242,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", required=True)
     p.add_argument("--tau", required=True,
                    help='scalar like "i", "1.2i", "0.3+1.2i" (times the '
-                        'identity) or a JSON matrix of [re,im] pairs')
+                        'identity) or a JSON matrix of reals or [re,im] pairs')
     p.add_argument("--budget", type=int, default=None,
                    help="norm budget of the direct sum (default 2*max_trace+4)")
     p.add_argument("--tolerance", type=float, default=1e-8)

@@ -28,10 +28,27 @@ from . import indices as idx
 
 SERIALIZATION_VERSION = 1
 _DECIMAL = re.compile(r"-?[0-9]+")      # ASCII only, unlike int()
+# the largest genus x max(max_trace, 2) that from_json builds a table for:
+# the genus-5 trace-10 frontier (a trace-0 table still holds a g x g index)
+MAX_GENUS_TRACE = 50
 
 
 def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
+
+
+def json_complex(val) -> complex:
+    """A JSON real or an [re, im] pair of reals as a complex number; a bool,
+    a string, a third element or an integer past the float range raises
+    ValueError."""
+    parts = val if isinstance(val, list) else [val, 0]
+    if len(parts) == 2 and all(_is_int(v) or isinstance(v, float)
+                               for v in parts):
+        try:
+            return complex(*parts)
+        except OverflowError:
+            pass
+    raise ValueError(f"{val!r} is not a real or an [re, im] pair of reals")
 
 
 class IncompatibleExpansionError(ValueError):
@@ -229,8 +246,9 @@ class FourierExpansion:
     @classmethod
     def from_json(cls, doc: dict) -> "FourierExpansion":
         """Read a document of fourier-expansion.schema.json; anything else,
-        such as a bool or a float where an integer belongs, raises
-        ValueError."""
+        such as a bool or a float where an integer belongs, or a genus x
+        max_trace past MAX_GENUS_TRACE, raises ValueError before any index
+        table is built."""
         if not isinstance(doc, dict) or \
                 doc.get("format") != "fourier-expansion" or \
                 not _is_int(doc.get("version")) or \
@@ -243,7 +261,10 @@ class FourierExpansion:
             if not _is_int(val) or val < least:
                 raise ValueError(f"{name} {val!r} is not an integer >= "
                                  f"{least}")
-        g = doc["genus"]
+        g, top = doc["genus"], max(doc["max_trace"], 2)
+        if g * top > MAX_GENUS_TRACE:
+            raise ValueError(f"genus x max(max_trace, 2) = {g} x {top} is "
+                             f"past {MAX_GENUS_TRACE}")
         entries = doc.get("entries")
         if not isinstance(entries, list):
             raise ValueError("entries must be a list")

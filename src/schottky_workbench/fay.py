@@ -13,26 +13,20 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .expansion import (DerivativePolynomial, DomainError, FourierExpansion,
-                        IncompatibleExpansionError, SiegelPoint,
-                        _tr_products, apply_derivative, evaluate)
+                        IncompatibleExpansionError, SiegelPoint, _is_int,
+                        _tr_products, apply_derivative, evaluate,
+                        json_complex, siegel_operator)
 
 TWO_PI_I = 2j * math.pi
 
 # t step of the central difference in derivative_identity_check; one
 # Richardson step also takes it halved
 _DIFFERENCE_STEP = 1e-4
-
-
-def _as_complex(val) -> complex:
-    """Accept a plain number or an [re, im] pair."""
-    if isinstance(val, (list, tuple)):
-        re, im = val
-        return complex(float(re), float(im))
-    return complex(val)
 
 
 def _pair(z: complex):
@@ -79,38 +73,28 @@ class DegenerationData:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DegenerationData":
+        """Read a document of degeneration-data.schema.json; every complex
+        value goes through expansion.json_complex."""
         g = doc["genus"]
-        if not isinstance(g, int) or isinstance(g, bool):
+        if not _is_int(g):
             raise ValueError(f"genus {g!r} is not an integer")
-        tau = SiegelPoint(g, tuple(
-            tuple(_as_complex(doc["tau"][p][q]) for q in range(g))
-            for p in range(g)))
-        def vec(name, default=None):
-            if name not in doc:
-                return default
-            return tuple(_as_complex(z) for z in doc[name])
+        tau = tuple(tuple(map(json_complex, row)) for row in doc["tau"])
+        def vec(name):
+            return tuple(map(json_complex, doc[name])) if name in doc else None
         return cls(
-            g=g, tau=tau,
+            g=g, tau=SiegelPoint(g, tau),
             v_a=vec("v_a"), v_b=vec("v_b"), aj=vec("aj"), s=vec("s"),
-            c1=_as_complex(doc.get("c1", 0)), c2=_as_complex(doc.get("c2", 0)),
-            lambda_=_as_complex(doc.get("lambda", 1)),
-            mu=_as_complex(doc.get("mu", 1)),
+            c1=json_complex(doc.get("c1", 0)),
+            c2=json_complex(doc.get("c2", 0)),
+            lambda_=json_complex(doc.get("lambda", 1)),
+            mu=json_complex(doc.get("mu", 1)),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "genus": self.g,
-            "tau": [[_pair(self.tau.tau[p][q]) for q in range(self.g)]
-                    for p in range(self.g)],
-            "v_a": [_pair(z) for z in self.v_a],
-            "v_b": [_pair(z) for z in self.v_b],
-            "aj": [_pair(z) for z in self.aj],
-            "s": [_pair(z) for z in self.s],
-            "c1": _pair(self.c1),
-            "c2": _pair(self.c2),
-            "lambda": _pair(self.lambda_),
-            "mu": _pair(self.mu),
-        }
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """sigma of the rescaled differentials lambda v_a and mu v_b."""
+        return sigma_matrix(self.lambda_ * np.asarray(self.v_a),
+                            self.mu * np.asarray(self.v_b))
 
 
 def sigma_matrix(v_a, v_b) -> np.ndarray:
@@ -137,10 +121,8 @@ def period_matrix_first_order(data: DegenerationData, t: complex) -> np.ndarray:
     if abs(t) >= 1:
         raise DomainError("|t| must be < 1")
     g = data.g
-    sigma = sigma_matrix(data.lambda_ * np.asarray(data.v_a),
-                         data.mu * np.asarray(data.v_b))
     out = np.zeros((g + 1, g + 1), dtype=complex)
-    out[:g, :g] = data.tau.matrix + t * sigma
+    out[:g, :g] = data.tau.matrix + t * data.sigma
     border = np.asarray(data.aj) + t * np.asarray(data.s)
     out[:g, g] = border
     out[g, :g] = border
@@ -311,14 +293,15 @@ def corner_exponential_check(data: DegenerationData, t: complex,
         details={"t": _pair(t), "lhs": _pair(lhs), "rhs": _pair(rhs)})
 
 
-def degeneration_limit_check(f_next: FourierExpansion, f: FourierExpansion,
-                             data: DegenerationData, t_values=(1e-3, 1e-4, 1e-5),
+def degeneration_limit_check(f_next: FourierExpansion, data: DegenerationData,
+                             t_values=(1e-3, 1e-4, 1e-5),
                              tolerance: float = 1e-2) -> CheckReport:
-    """The t -> 0+ limit of f_next at the degenerating period matrix must be
-    f at tau: the constant term of the t-expansion survives alone."""
-    if f_next.g != data.g + 1 or f.g != data.g:
+    """The t -> 0+ limit of the genus-(g+1) form f_next at the degenerating
+    period matrix must be its Siegel image siegel_operator(f_next) at tau:
+    the constant term of the t-expansion survives alone."""
+    if f_next.g != data.g + 1:
         raise IncompatibleExpansionError("genus mismatch")
-    target = complex(evaluate(f, data.tau).value)
+    target = complex(evaluate(siegel_operator(f_next), data.tau).value)
     devs = []
     for t in t_values:
         if not (isinstance(t, (int, float)) and t > 0):
@@ -335,37 +318,34 @@ def degeneration_limit_check(f_next: FourierExpansion, f: FourierExpansion,
                  "limit": _pair(target)})
 
 
-def fay_check(data: DegenerationData, f: FourierExpansion,
-              f_next: FourierExpansion,
+def fay_check(data: DegenerationData, f_next: FourierExpansion,
               derivative_tolerance: float = 1e-5) -> dict:
     """Run the full battery of degeneration checks against one data set.
 
-    f is a genus-g expansion and f_next a genus-(g+1) expansion whose
-    Siegel-operator image is f (used for the limit check and the B
-    invariance).  The derivative polynomial is the constant 1."""
+    f_next is the genus-(g+1) form: B and the limit check read it, and A,
+    the derivative identity and the scaling law read its Siegel image
+    siegel_operator(f_next).  The derivative polynomial is the constant 1."""
     g = data.g
+    f = siegel_operator(f_next)
     n = DerivativePolynomial.constant(g)
-    sigma = sigma_matrix(data.lambda_ * np.asarray(data.v_a),
-                         data.mu * np.asarray(data.v_b))
+    derivative = derivative_identity_check(f, n, data.tau, data.sigma,
+                                           tolerance=derivative_tolerance)
     checks = [
         corner_exponential_check(data, 1e-3),
-        derivative_identity_check(f, n, data.tau, sigma,
-                                  tolerance=derivative_tolerance),
+        derivative,
         scaling_law_check(f, n, data.tau, data.v_a, data.v_b),
+        degeneration_limit_check(f_next, data),
     ]
-    a_val = coefficient_A(f, n, data.tau, sigma)
-    report = {
+    a_val = complex(*derivative.details["A"])
+    b_val = coefficient_B(f_next, DerivativePolynomial.constant(g + 1),
+                          data.tau, data.aj)
+    return {
         "genus": g,
         "A": _pair(a_val),
+        "B": _pair(b_val),
+        "t_coefficient": _pair(a_val + cmath.exp(data.c1) * b_val),
         "lambda": _pair(data.lambda_),
         "mu": _pair(data.mu),
+        "checks": [c.to_json() for c in checks],
+        "status": "pass" if all(c.passed for c in checks) else "fail",
     }
-    n_next = DerivativePolynomial.constant(g + 1)
-    b_val = coefficient_B(f_next, n_next, data.tau, data.aj)
-    gamma1 = cmath.exp(data.c1)
-    report["B"] = _pair(b_val)
-    report["t_coefficient"] = _pair(a_val + gamma1 * b_val)
-    checks.append(degeneration_limit_check(f_next, f, data))
-    report["checks"] = [c.to_json() for c in checks]
-    report["status"] = "pass" if all(c.passed for c in checks) else "fail"
-    return report

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import load_schema
 from schottky_workbench import cli, schottky
+from schottky_workbench import indices as idx
 from schottky_workbench.cache import ENV_CACHE_PATH, CountCache
 from schottky_workbench.cli import main, parse_tau
 from schottky_workbench.expansion import FourierExpansion, SiegelPoint
@@ -143,6 +144,23 @@ def test_siegel_phi_refuses_malformed_documents(capsys, tmp_path, mutate):
     assert "bad expansion document" in out["error"]
 
 
+@pytest.mark.parametrize("genus, max_trace",
+                         [(3, 40), (4, 20), (160, 2), (30, 0)])
+def test_siegel_phi_refuses_oversized_documents(capsys, tmp_path, monkeypatch,
+                                                genus, max_trace):
+    def refuse(*args):
+        raise AssertionError("an index table was built")
+
+    monkeypatch.setattr(idx, "enumerate_indices", refuse)
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps(
+        {"format": "fourier-expansion", "version": 1, "genus": genus,
+         "weight": 4, "max_trace": max_trace, "entries": []}))
+    code, out = run(capsys, "siegel-phi", "--input", str(src))
+    assert code == 2 and out.keys() == {"error"}
+    assert "is past 50" in out["error"]
+
+
 def test_schottky_verify_pass(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_CACHE_PATH, str(tmp_path / "c.jsonl"))
     code, doc = run(capsys, "schottky-verify", "--genus", "1",
@@ -187,21 +205,36 @@ def test_eval_two_paths(capsys):
     jsonschema.validate(doc, load_schema("verification-report.schema.json"))
 
 
-def test_fay_check_subcommand(capsys, tmp_path):
+def test_fay_check_subcommand(capsys, tmp_path, monkeypatch):
     data = {"genus": 1, "tau": [[[0.0, 1.3]]], "v_a": [0.1], "v_b": [0.2],
             "aj": [0.3], "c1": 0.2, "c2": 0.1}
     src = tmp_path / "deg.json"
     src.write_text(json.dumps(data))
+    built = []
+
+    def theta_expansion(lat, g, max_trace, cache=None):
+        built.append(g)
+        return real(lat, g, max_trace, cache=cache)
+
+    real = cli.theta_expansion
+    monkeypatch.setattr(cli, "theta_expansion", theta_expansion)
     code, doc = run(capsys, "fay-check", "--input", str(src),
                     "--max-trace", "8")
     assert code == 0
     assert doc["status"] == "pass"
     jsonschema.validate(doc, load_schema("verification-report.schema.json"))
-    src.write_text(json.dumps(dict(data, genus=1.7)))
-    code, doc = run(capsys, "fay-check", "--input", str(src),
-                    "--max-trace", "8")
-    assert code == 2 and doc.keys() == {"error"}
-    assert "bad degeneration-data document" in doc["error"]
+    # one expansion, the genus-2 form; the genus-1 side is its Siegel image
+    assert built == [2]
+    for bad in (dict(data, genus=1.7),
+                {"genus": 2, "tau": [[[0, 1]]], "v_a": [0.1], "v_b": [0.2]},
+                dict(data, tau=[[[0.0, True]]]),
+                dict(data, tau=[[[0.0, "1.3"]]]),
+                dict(data, c2=10 ** 400)):
+        src.write_text(json.dumps(bad))
+        code, doc = run(capsys, "fay-check", "--input", str(src),
+                        "--max-trace", "8")
+        assert code == 2 and doc.keys() == {"error"}, bad
+        assert "bad degeneration-data document" in doc["error"]
 
 
 def test_cache_stats_and_verify(capsys, tmp_path, monkeypatch):
@@ -227,6 +260,13 @@ def test_usage_error_is_machine_readable(capsys, tmp_path):
                     "--tau", "garbage", "--max-trace", "4")
     assert code == 2
     assert doc.keys() == {"error"}
+    # an entry is a real or an [re, im] pair of reals, nothing else
+    for tau in ('[[[0.1, 1.2, 5]]]', '[[["0.1", 1.2]]]', '[[[true, 1.2]]]',
+                '[[[0.1, 1%s]]]' % ("0" * 400)):
+        code, doc = run(capsys, "eval", "--lattice", "E8", "--genus", "1",
+                        "--tau", tau, "--max-trace", "4")
+        assert code == 2 and doc.keys() == {"error"}, tau
+        assert "bad tau matrix" in doc["error"]
     code = main(["siegel-phi", "--input", str(tmp_path / "absent.json")])
     out = json.loads(capsys.readouterr().out)
     assert code == 2 and out.keys() == {"error"}

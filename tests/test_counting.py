@@ -109,6 +109,13 @@ def test_cauchy_schwarz_equality_reduction(e8):
         eng.count(((2, 2, 0), (2, 2, 1), (0, 1, 2)))
 
 
+# Cartan matrices of the genus-5 root systems A5 and D5
+A5 = ((2, -1, 0, 0, 0), (-1, 2, -1, 0, 0), (0, -1, 2, -1, 0),
+      (0, 0, -1, 2, -1), (0, 0, 0, -1, 2))
+D5 = ((2, -1, 0, 0, 0), (-1, 2, -1, 0, 0), (0, -1, 2, -1, -1),
+      (0, 0, -1, 2, 0), (0, 0, -1, 0, 2))
+
+
 def test_gl_invariance_of_counts(e8):
     rng = np.random.default_rng(3)
     eng = CountEngine(e8)
@@ -129,6 +136,13 @@ def test_gl_invariance_of_counts(e8):
             if idx.trace(t) > 12:
                 continue
             assert eng.count(t) == base
+    # at genus 5 the basis (e0 + e1, e1, e2, e3, e4) moves D5 to a matrix of
+    # another signed-permutation class
+    u = tuple(tuple(int(p == q or (p, q) == (1, 0)) for q in range(5))
+              for p in range(5))
+    moved = idx.transform(D5, u)
+    assert idx.canonical_signed_perm(moved) != idx.canonical_signed_perm(D5)
+    assert eng.count(moved) == eng.count(D5)
 
 
 def _signed_permutations(s):
@@ -212,11 +226,12 @@ def test_contraction_refuses_inexact_float32(e8, monkeypatch):
 
 def test_trivial_orbits_count_the_same(e8, d16, monkeypatch):
     # with every vector its own weight-1 orbit, slot 0 runs over its whole
-    # shell: the unweighted recursion is the orbit weighting's oracle
+    # shell: the unweighted recursion is the orbit weighting's oracle; the
+    # genus-5 root systems A5 and D5 run its recursion past three open slots
     targets = {
         e8: list(idx.enumerate_indices(3, 6)) +
         [s for s in idx.enumerate_indices(4, 8)
-         if all(s[p][p] == 2 for p in range(4))],
+         if all(s[p][p] == 2 for p in range(4))] + [A5, D5],
         # the first five that Cauchy-Schwarz does not reduce to genus 2
         d16: [s for s in idx.enumerate_indices(3, 8)
               if (s[0][0], s[1][1], s[2][2]) == (2, 2, 4)

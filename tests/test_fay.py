@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -21,6 +22,7 @@ from schottky_workbench.fay import (DegenerationData, coefficient_A,
 from schottky_workbench.theta import theta_expansion
 
 TWO_PI_I = 2j * math.pi
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -177,28 +179,36 @@ def test_scaling_law_zero_vector(theta1):
     assert rep.details["D"] == [0.0, 0.0]
 
 
-def test_degeneration_limit(data1, theta2, e8):
-    f1 = theta_expansion(e8, 1, 8)
-    rep = degeneration_limit_check(theta2, f1, data1)
+def test_degeneration_limit(data1, theta2):
+    rep = degeneration_limit_check(theta2, data1)
     assert rep.passed
     devs = rep.details["deviations"]
     assert devs[0] > devs[-1]
 
 
-def test_fay_check_full_report(data1, theta2, e8):
-    f1 = theta_expansion(e8, 1, 8)
-    rep = fay_check(data1, f1, f_next=theta2, derivative_tolerance=1e-6)
+def test_fay_check_full_report(data1, theta2):
+    rep = fay_check(data1, theta2, derivative_tolerance=1e-6)
     assert rep["status"] == "pass"
     names = {c["name"] for c in rep["checks"]}
     assert names == {"corner-exponential", "derivative-identity",
                      "scaling-law", "degeneration-limit"}
 
 
-def test_degeneration_data_json_round_trip(data1):
-    doc = data1.to_json()
-    jsonschema.validate(doc, load_schema("degeneration-data.schema.json"))
-    back = DegenerationData.from_json(json.loads(json.dumps(doc)))
-    assert back == data1
+def test_shipped_degeneration_documents_read():
+    # the README's example and the benchmark's genus-2 document
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Degeneration data documents", 1)[1]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    bench = json.loads((ROOT / "perfbench" / "fay_genus2_e8.json").read_text())
+    schema = load_schema("degeneration-data.schema.json")
+    for doc in (example, bench):
+        jsonschema.validate(doc, schema)
+    assert DegenerationData.from_json(example) == DegenerationData(
+        g=1, tau=SiegelPoint.scalar(1, 1.3j), v_a=(0.1,), v_b=(0.2,),
+        aj=(0.3,), s=(0.05,), c1=0.2, c2=0.1)
+    data2 = DegenerationData.from_json(bench)
+    assert data2.tau.tau[0][1] == 0.05 + 0.2j and data2.aj[0] == 0.3 + 0.1j
+    assert data2.c1 == 0.2 + 0.1j and data2.c2 == 0.1
 
 
 def test_degeneration_data_validation():

@@ -19,6 +19,8 @@ TAU = {
     3: SiegelPoint(3, ((0.2 + 1.1j, 0.1 + 0.2j, -0.05 + 0.1j),
                        (0.1 + 0.2j, 0.3 + 1.2j, 0.07 - 0.1j),
                        (-0.05 + 0.1j, 0.07 - 0.1j, -0.1 + 1.3j))),
+    4: SiegelPoint(4, tuple(tuple(1.2j if p == q else 0.1 for q in range(4))
+                            for p in range(4))),
 }
 
 
@@ -88,6 +90,7 @@ def _assert_matches_reference(lat, g, budget):
 
 @pytest.mark.parametrize("name, g, budget", [
     ("e8", 1, 4), ("e8", 2, 4), ("e8", 3, 4), ("e8", 2, 6), ("d16", 2, 4),
+    ("e8", 4, 2),       # two prefix slots: the walk's phase sum over them
 ])
 def test_theta_eval_matches_per_vector_reference(name, g, budget, request):
     _assert_matches_reference(request.getfixturevalue(name), g, budget)
