@@ -20,8 +20,8 @@ from datetime import datetime, timezone
 from . import indices as idx
 from .cache import ENV_CACHE_PATH, cache_from_env
 from .counting import CountEngine
-from .expansion import FourierExpansion, SiegelPoint, evaluate, \
-    json_complex, siegel_operator
+from .expansion import FourierExpansion, SiegelPoint, check_table_bound, \
+    evaluate, json_complex, siegel_operator
 from .fay import DegenerationData, fay_check
 from .lattices import UnsupportedLatticeError, lattice_by_id, shell_sizes, \
     short_vector_shells
@@ -92,7 +92,8 @@ def cmd_lattice_enum(args, cache) -> tuple:
     if args.vectors:
         shells = short_vector_shells(lat, args.max_norm)
         doc["vectors"] = {str(m): v.tolist() for m, v in shells.items()}
-    # with --vectors these are the lengths of the shells just built
+    # from the theta series' modular form, never from the shells above, so
+    # with --vectors the document carries two independent counts
     doc["shell_sizes"] = {str(m): int(c) for m, c in
                           shell_sizes(lat, args.max_norm).items()}
     return EXIT_OK, doc
@@ -164,6 +165,8 @@ def cmd_fay_check(args, cache) -> tuple:
     g = data.g
     max_trace = args.max_trace if args.max_trace is not None \
         else (8 if g <= 2 else 6)
+    # the checks build the genus-(g+1) table: bound it as siegel-phi does
+    check_table_bound(g + 1, max_trace)
     lat = _lattice(args.lattice)
     rep = fay_check(data, theta_expansion(lat, g + 1, max_trace, cache=cache))
     rep["lattice"] = lat.name

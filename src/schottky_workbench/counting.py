@@ -2,8 +2,9 @@
 matrix.
 
 After the zero-slot and Cauchy-Schwarz reductions, genus 1 is a shell size,
-counted without building the shell, and every genus >= 2 index runs through
-one recursion.  Slot 0 runs over orbit representatives of its shell under
+read from the theta series as a modular form (`shell_sizes`: at rank 8 and
+16 nothing is walked), and every genus >= 2 index runs through one
+recursion.  Slot 0 runs over orbit representatives of its shell under
 reflections in the simple roots and -1 (`shell_orbits`), each weighted by its
 orbit size: the count of completions is constant on an orbit.  Candidates
 are vectors, not indices: a slot starts as its shell, with no copy, and each
@@ -75,7 +76,7 @@ class CountEngine:
             return self.count(tuple(tuple(s[a][b] for b in keep)
                                     for a in keep)) if keep else 1
         if g == 1:
-            # a shell size: counted, the shell itself is never built
+            # a shell size, read from the modular form: no shell is built
             return shell_sizes(self.lattice, s[0][0])[s[0][0]]
         return self._count_dfs(s)
 

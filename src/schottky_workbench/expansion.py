@@ -28,9 +28,19 @@ from . import indices as idx
 
 SERIALIZATION_VERSION = 1
 _DECIMAL = re.compile(r"-?[0-9]+")      # ASCII only, unlike int()
-# the largest genus x max(max_trace, 2) that from_json builds a table for:
+# the largest genus x max(max_trace, 2) that from_json and the fay-check
+# command build a table for (check_table_bound):
 # the genus-5 trace-10 frontier (a trace-0 table still holds a g x g index)
 MAX_GENUS_TRACE = 50
+
+
+def check_table_bound(g: int, max_trace: int):
+    """Raise ValueError when genus x max(max_trace, 2) is past
+    MAX_GENUS_TRACE, before any index table of that size is built."""
+    top = max(max_trace, 2)
+    if g * top > MAX_GENUS_TRACE:
+        raise ValueError(f"genus x max(max_trace, 2) = {g} x {top} is past "
+                         f"{MAX_GENUS_TRACE}")
 
 
 def _is_int(val) -> bool:
@@ -261,10 +271,8 @@ class FourierExpansion:
             if not _is_int(val) or val < least:
                 raise ValueError(f"{name} {val!r} is not an integer >= "
                                  f"{least}")
-        g, top = doc["genus"], max(doc["max_trace"], 2)
-        if g * top > MAX_GENUS_TRACE:
-            raise ValueError(f"genus x max(max_trace, 2) = {g} x {top} is "
-                             f"past {MAX_GENUS_TRACE}")
+        g = doc["genus"]
+        check_table_bound(g, doc["max_trace"])
         entries = doc.get("entries")
         if not isinstance(entries, list):
             raise ValueError("entries must be a list")

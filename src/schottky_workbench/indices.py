@@ -208,14 +208,27 @@ def transform(entries, u) -> tuple:
     )
 
 
+def _block_orders(s, block):
+    """Every order of one block of slots, up to the order of its zero-row
+    slots: swapping two zero rows leaves the matrix as it is, so they keep
+    one order, at each choice of their positions."""
+    zero = [p for p in block if not any(s[p])]
+    rest = [p for p in block if any(s[p])]
+    for at in itertools.combinations(range(len(block)), len(zero)):
+        for perm in itertools.permutations(rest):
+            z, r = iter(zero), iter(perm)
+            yield [next(z) if i in at else next(r) for i in range(len(block))]
+
+
 def _block_permutations(s):
     """Slot orders that sort the diagonal ascending: every permutation
-    within each block of equal diagonal entries, blocks in ascending order."""
+    within each block of equal diagonal entries (zero-row slots kept in
+    one order), blocks in ascending order."""
     g = len(s)
     order = sorted(range(g), key=lambda p: s[p][p])
     blocks = [tuple(b) for _, b in itertools.groupby(order,
                                                       key=lambda p: s[p][p])]
-    for parts in itertools.product(*map(itertools.permutations, blocks)):
+    for parts in itertools.product(*(_block_orders(s, b) for b in blocks)):
         yield [p for part in parts for p in part]
 
 
@@ -271,6 +284,8 @@ def canonical_signed_perm(entries) -> tuple:
     leave the diagonal alone, so the least key has the sorted diagonal, and
     exactly the permutations within blocks of equal diagonal entries reach
     it (at most 24 orders at genus 4 instead of 384 signed permutations).
+    Orders that differ only among zero-row slots give one matrix, so one
+    of them is tried: a g x g zero index takes one order, not g!.
     For a fixed order the upper triangle is minimized over signs greedily:
     walking the positions in serialization order, an entry between slots
     whose relative sign is already fixed takes the same value in every

@@ -1,4 +1,5 @@
-"""Even unimodular lattices, short-vector enumeration and shell orbits.
+"""Even unimodular lattices, short-vector enumeration, shell sizes from the
+theta series' modular form, and shell orbits.
 
 The two rank-16 building blocks are E8 + E8 and D16+; both are realized by
 explicit integer Gram matrices (documented below) so that every vector is an
@@ -8,6 +9,7 @@ integer coordinate tuple in the corresponding basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -278,65 +280,110 @@ def _shells(gram: np.ndarray, max_norm: int) -> dict:
     return shells
 
 
-def _shell_counts(gram: np.ndarray, max_norm: int) -> dict:
-    """{m: #{x : x^T G x = m}} for even m <= max_norm, without building x.
-
-    Bincounts the exact norms of `_vectors` block by block, with no
-    coordinates: memory is the walk's bounded state plus one block's norms.
-    The walk visits one of x and -x, so each count m > 0 is twice its
-    bincount, and norm 0 has the zero vector alone.
-    """
-    counts = 0      # an array from the first block on (see `_shells`)
-    for _, norms in _vectors(gram, max_norm, coords=False):
-        counts = counts + np.bincount(norms // 2, minlength=max_norm // 2 + 1)
-    return {2 * k: 2 * int(c) if k else 1 for k, c in enumerate(counts)}
-
-
 def _check_norm(max_norm: int):
     if max_norm < 0 or max_norm % 2 != 0:
         raise ValueError("max_norm must be a non-negative even integer")
 
 
-def _stored_shells(lat: Lattice, max_norm: int):
-    """The lattice's shell run cut at max_norm, or None if it stops short."""
-    run = lat._store["shells"]
-    if not run or max(run) < max_norm:
-        return None
-    return {m: v for m, v in run.items() if m <= max_norm}
-
-
 def short_vector_shells(lat: Lattice, max_norm: int) -> dict:
     """Vectors of norm <= max_norm grouped by norm, as read-only int8 arrays.
 
-    Built by `_shells` from the walk that `shell_sizes` shares; each shell
-    is in lexicographic order and costs rank bytes per vector.  The
+    Built by `_shells` from one walk of `_vectors`; each shell is in
+    lexicographic order and costs rank bytes per vector.  The
     lattice's store keeps one run: a request at or below its bound returns
     that run's arrays, and a request above it walks once at the new bound
     and replaces the run.
     """
     _check_norm(max_norm)
-    shells = _stored_shells(lat, max_norm)
-    if shells is None:
-        shells = _shells(lat.gram_array, max_norm)
-        for v in shells.values():
-            v.flags.writeable = False
-        lat._store["shells"] = shells
+    run = lat._store["shells"]
+    if run and max(run) >= max_norm:
+        return {m: v for m, v in run.items() if m <= max_norm}
+    shells = _shells(lat.gram_array, max_norm)
+    for v in shells.values():
+        v.flags.writeable = False
+    lat._store["shells"] = shells
     return shells
+
+
+def _divisor_series(k: int, coeff: int, terms: int) -> list:
+    """1 + coeff * sum_{j >= 1} sigma_k(j) q^j, as `terms` Python ints."""
+    series = [1] + [0] * (terms - 1)
+    for d in range(1, terms):
+        for j in range(d, terms, d):
+            series[j] += coeff * d ** k
+    return series
+
+
+def _product(f: list, g: list) -> list:
+    """The product of two q-series, truncated to the length of f."""
+    return [sum(f[i] * g[j - i] for i in range(j + 1)) for j in range(len(f))]
+
+
+def _modular_series(weight: int, head: list, terms: int) -> list:
+    """The first `terms` q-coefficients of the form in M_weight(SL_2(Z))
+    whose first d = dim M_weight coefficients are `head`.
+
+    The basis is E_4^a E_6^b, 4a + 6b = weight, with E_4 = 1 + 240 sum
+    sigma_3(j) q^j and E_6 = 1 - 504 sum sigma_5(j) q^j; products are
+    truncated convolutions of Python ints.  By the valence formula no
+    nonzero form in M_weight vanishes to order d at infinity, so the d x d
+    system of the first d coefficients is regular; it is solved in
+    Fractions.  A coefficient that comes out non-integral raises
+    ArithmeticError.
+    """
+    terms = max(terms, len(head))
+    e4, e6 = _divisor_series(3, 240, terms), _divisor_series(5, -504, terms)
+    basis = []
+    for b in range(weight // 6 + 1):
+        if (weight - 6 * b) % 4 == 0:
+            f = [1] + [0] * (terms - 1)
+            for e, power in ((e4, (weight - 6 * b) // 4), (e6, b)):
+                for _ in range(power):
+                    f = _product(f, e)
+            basis.append(f)
+    d = len(basis)
+    if len(head) != d:
+        raise ValueError(f"M_{weight} has dimension {d}, not {len(head)}")
+    # Gauss-Jordan on [f_i(q^j) | head_j], j < d
+    rows = [[Fraction(f[j]) for f in basis] + [Fraction(head[j])]
+            for j in range(d)]
+    for c in range(d):
+        p = next(r for r in range(c, d) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    coeffs = [row[d] for row in rows]
+    series = [sum(c * f[j] for c, f in zip(coeffs, basis))
+              for j in range(terms)]
+    if any(a.denominator != 1 for a in series):
+        raise ArithmeticError(
+            f"a coefficient of the weight-{weight} form with head {head} is "
+            f"not an integer")
+    return [int(a) for a in series]
 
 
 def shell_sizes(lat: Lattice, max_norm: int) -> dict:
     """{m: number of vectors of norm m} for even m <= max_norm.
 
-    If the lattice's shell run reaches max_norm, its lengths are returned.
-    Otherwise `_shell_counts` bincounts the exact norms of the same walk
-    that builds the shells, with no coordinates: memory stays at the walk's
-    bounded state plus one block, and the store is left as it is.
+    Read from the theta series, a modular form of weight k = rank / 2 for
+    SL_2(Z) whose q^j coefficient is N(2j) (`_modular_series`).  Exactness:
+    `Lattice.__post_init__` proves L even, unimodular and positive
+    definite, so rank = 0 mod 8 and k = 0 mod 4, and the first d = dim M_k
+    coefficients fix the form.  N(0) = 1 always; for d >= 2 the next d - 1
+    are the shell sizes up to norm 2(d - 1) from `short_vector_shells`
+    (the roots alone at rank 24 and 32).  At rank 8 and 16, d = 1 and the
+    series is E_4^(rank / 8): nothing is walked and the store is left as
+    it is.
     """
     _check_norm(max_norm)
-    shells = _stored_shells(lat, max_norm)
-    if shells is not None:
-        return {m: len(v) for m, v in shells.items()}
-    return _shell_counts(lat.gram_array, max_norm)
+    weight = lat.rank // 2
+    d = weight // 12 + (weight % 12 != 2)
+    shells = short_vector_shells(lat, 2 * (d - 1)) if d > 1 else {}
+    head = [1] + [len(shells[2 * j]) for j in range(1, d)]
+    series = _modular_series(weight, head, max_norm // 2 + 1)
+    return {2 * j: series[j] for j in range(max_norm // 2 + 1)}
 
 
 def _simple_roots(gram: np.ndarray, roots: np.ndarray) -> np.ndarray:

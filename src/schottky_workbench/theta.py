@@ -87,7 +87,7 @@ def theta_eval(lat: Lattice, g: int, point: SiegelPoint,
     short_vector_shells and never consults representation counts, pair
     histograms or stored expansions.  Genus 1 is a closed sum over shell
     sizes, read from the built shells and not from lattices.shell_sizes:
-    that count-only walk serves the series side, and the direct path stays
+    that modular form serves the series side, and the direct path stays
     independent of it.  From genus 2 on, the first g - 2 slots are walked
     vector by vector and the last two are summed per pair of shell norms
     (m1, m2) in one blockwise operation: the integer inner products <x, y>

@@ -1,13 +1,14 @@
 """Command-line interface: outputs, exit codes, schema validity."""
 
 import json
+import time
 from datetime import datetime
 
 import jsonschema
 import pytest
 
 from conftest import load_schema
-from schottky_workbench import cli, schottky
+from schottky_workbench import cli, lattices, schottky
 from schottky_workbench import indices as idx
 from schottky_workbench.cache import ENV_CACHE_PATH, CountCache
 from schottky_workbench.cli import main, parse_tau
@@ -56,15 +57,16 @@ def test_lattice_enum(capsys):
 @pytest.mark.parametrize("lattice,max_norm", [("E8", "8"), ("D16plus", "4")])
 def test_lattice_enum_sizes_count_only(capsys, monkeypatch, lattice,
                                        max_norm):
-    # without --vectors the sizes are counted, never materialized; with it
-    # they are the lengths of the built shells, and the two agree
+    # without --vectors the sizes come from the modular form and nothing is
+    # walked; with it the built shells' lengths agree with the form
     def forbidden(*args, **kwargs):
-        raise AssertionError("lattice-enum built shells without --vectors")
+        raise AssertionError("lattice-enum walked without --vectors")
 
     named = lattice_by_id(lattice)
     fresh = Lattice(named.name, named.rank, named.gram)    # an empty store
     with monkeypatch.context() as patch:
         patch.setattr(cli, "short_vector_shells", forbidden)
+        patch.setattr(lattices, "_vectors", forbidden)
         patch.setattr(cli, "lattice_by_id", {lattice: fresh}.__getitem__)
         code, counted = run(capsys, "lattice-enum", "--lattice", lattice,
                             "--max-norm", max_norm)
@@ -235,6 +237,33 @@ def test_fay_check_subcommand(capsys, tmp_path, monkeypatch):
                         "--max-trace", "8")
         assert code == 2 and doc.keys() == {"error"}, bad
         assert "bad degeneration-data document" in doc["error"]
+
+
+def test_fay_check_refuses_a_genus_past_the_table_bound(capsys, tmp_path,
+                                                        monkeypatch):
+    def document(g):
+        path = tmp_path / f"genus{g}.json"
+        path.write_text(json.dumps({
+            "genus": g, "v_a": [0.1] * g, "v_b": [0.2] * g,
+            "tau": [[[0.0, 1.2 if p == q else 0.0] for q in range(g)]
+                    for p in range(g)]}))
+        return str(path)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fay-check built a table past the bound")
+
+    monkeypatch.setattr(cli, "theta_expansion", forbidden)
+    monkeypatch.setattr(idx, "index_table", forbidden)
+    # genus 12 at the default trace 6 asks for a genus-13 table: 13 x 6 > 50
+    start = time.monotonic()
+    code, doc = run(capsys, "fay-check", "--input", document(12))
+    assert time.monotonic() - start < 1
+    assert code == 2 and doc.keys() == {"error"}
+    assert "13 x 6 is past 50" in doc["error"]
+    # the bound counts max(max_trace, 2), as siegel-phi does
+    code, doc = run(capsys, "fay-check", "--input", document(25),
+                    "--max-trace", "0")
+    assert code == 2 and "26 x 2 is past 50" in doc["error"]
 
 
 def test_cache_stats_and_verify(capsys, tmp_path, monkeypatch):

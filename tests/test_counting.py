@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from schottky_workbench import counting, indices as idx
+from schottky_workbench import counting, indices as idx, lattices
 from schottky_workbench.cache import CountCache
 from schottky_workbench.counting import CountEngine
 from schottky_workbench.lattices import Lattice, short_vector_shells
@@ -32,15 +32,19 @@ def test_genus1_counts_match_shell_sizes(e8):
 
 
 def test_genus1_counts_never_build_shells(d16, monkeypatch):
-    # a genus-1 count is a shell size, counted without materializing
+    # a genus-1 count is a shell size, read from the modular form: at rank
+    # 16 nothing is walked, let alone materialized
     def forbidden(*args, **kwargs):
-        raise AssertionError("a genus-1 count built a shell")
+        raise AssertionError("a genus-1 count walked the lattice")
 
     monkeypatch.setattr(counting, "short_vector_shells", forbidden)
+    monkeypatch.setattr(lattices, "short_vector_shells", forbidden)
+    monkeypatch.setattr(lattices, "_vectors", forbidden)
     lat = Lattice(d16.name, d16.rank, d16.gram)        # an empty store
     eng = CountEngine(lat)
     assert eng.count(((6,),)) == 1050240
     assert eng.count(((6, 0), (0, 0))) == 1050240     # zero-slot reduction
+    assert eng.count(((8,),)) == 7926240
     assert lat._store["shells"] == {}
 
 

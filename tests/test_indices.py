@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -192,6 +193,34 @@ def test_canonical_matches_brute_force_up_to_genus3():
 
 def test_canonical_matches_brute_force_genus4_sample():
     for s in idx.enumerate_indices(4, 8)[::7]:
+        assert idx.canonical_signed_perm(s) == _brute_canonical(s), s
+
+
+def test_zero_rows_take_one_order():
+    # swapping two zero rows leaves the matrix as it is: a 25 x 25 zero
+    # index tries one slot order, not 25!
+    zero = ((0,) * 25,) * 25
+    start = time.monotonic()
+    assert idx.canonical_signed_perm(zero) == zero
+    assert time.monotonic() - start < 1
+    # zero rows padded into genus-2 indices at every position, and (not
+    # psd) zero rows beside other rows of zero diagonal in one block
+    rng = random.Random(3)
+    cases = [((0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, -1), (0, 0, -1, 0)),
+             ((0, 0, 0), (0, 0, 2), (0, 2, 2))]
+    for s in idx.enumerate_indices(2, 6):
+        for zeros in itertools.combinations(range(4), 2):
+            rest = iter((0, 1))
+            at = [None if p in zeros else next(rest) for p in range(4)]
+            cases.append(tuple(tuple(0 if None in (a, b) else s[a][b]
+                                     for b in at) for a in at))
+    for _ in range(30):
+        m = [[0] * 4 for _ in range(4)]
+        for p, q in itertools.combinations(range(4), 2):
+            if p and q and rng.random() < 0.4:
+                m[p][q] = m[q][p] = rng.choice((-2, -1, 1, 2))
+        cases.append(tuple(map(tuple, m)))
+    for s in cases:
         assert idx.canonical_signed_perm(s) == _brute_canonical(s), s
 
 

@@ -5,11 +5,14 @@ coordinate sum, plus the all-half-integers coset where it exists), so it is
 independent of the Gram-basis enumeration under test.  The others are the
 earlier enumerator (full candidate arrays from LDL intervals, then an exact
 norm filter and a lexicographic sort), a brute-force box enumeration, and
-the Eisenstein series of weight 4 and 8.
+the Eisenstein series of weight 4 and 8.  The count-only walk
+`_shell_counts` is the oracle of `shell_sizes`, which reads the counts from
+the theta series' modular form.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,8 +20,8 @@ import pytest
 from schottky_workbench import lattices
 from schottky_workbench.lattices import (Lattice, LatticeError,
                                          UnsupportedLatticeError,
-                                         _shell_counts, _shells,
-                                         _simple_roots, direct_sum,
+                                         _modular_series, _shells,
+                                         _simple_roots, _vectors, direct_sum,
                                          lattice_by_id, shell_orbits,
                                          shell_sizes, short_vector_shells)
 
@@ -165,6 +168,21 @@ def _enumerate_array(gram, max_norm):
     return (np.concatenate(list(shells.values())),
             np.repeat(np.array(list(shells), dtype=np.int64),
                       [len(v) for v in shells.values()]))
+
+
+def _shell_counts(gram: np.ndarray, max_norm: int) -> dict:
+    """{m: #{x : x^T G x = m}} for even m <= max_norm, without building x:
+    the walk oracle of `shell_sizes`.
+
+    Bincounts the exact norms of `_vectors` block by block, with no
+    coordinates: memory is the walk's bounded state plus one block's norms.
+    The walk visits one of x and -x, so each count m > 0 is twice its
+    bincount, and norm 0 has the zero vector alone.
+    """
+    counts = 0      # an array from the first block on (see `_shells`)
+    for _, norms in _vectors(gram, max_norm, coords=False):
+        counts = counts + np.bincount(norms // 2, minlength=max_norm // 2 + 1)
+    return {2 * k: 2 * int(c) if k else 1 for k, c in enumerate(counts)}
 
 
 def test_enumeration_refuses_int16_coordinates():
@@ -320,12 +338,14 @@ def _eisenstein(rank, m):
 
 
 @pytest.mark.parametrize("name,max_norm",
-                         [("E8", 12), ("D16plus", 6), ("E8E8", 6)])
+                         [("E8", 12), ("D16plus", 6), ("E8E8", 6),
+                          ("E8", 16), ("D16plus", 8), ("E8E8", 8)])
 def test_shell_sizes_match_materialized_and_eisenstein(name, max_norm):
     named = lattice_by_id(name)
-    lat = Lattice(named.name, named.rank, named.gram)  # force the count path
+    lat = Lattice(named.name, named.rank, named.gram)  # an empty store
     sizes = shell_sizes(lat, max_norm)
-    assert lat._store["shells"] == {}    # counting stores no run
+    assert lat._store["shells"] == {}    # the form stores no run
+    assert sizes == _shell_counts(lat.gram_array, max_norm)
     _, norms = _enumerate_array(lat.gram_array, max_norm)
     assert sizes == {m: int((norms == m).sum())
                      for m in range(0, max_norm + 1, 2)}
@@ -333,15 +353,49 @@ def test_shell_sizes_match_materialized_and_eisenstein(name, max_norm):
                      for m in range(0, max_norm + 1, 2)}
 
 
-def test_shell_sizes_reuse_built_shells(e8, monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("shell_sizes recounted cached shells")
-
+def test_shell_sizes_never_walk_at_rank_8_and_16(e8, d16, monkeypatch):
+    # at rank 8 and 16 the form is E_4^(rank/8): no walk and no store, even
+    # far past any shell run
     shells = short_vector_shells(e8, 8)
-    monkeypatch.setattr(lattices, "_shell_counts", forbidden)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("shell_sizes walked the lattice")
+
+    monkeypatch.setattr(lattices, "_vectors", forbidden)
+    monkeypatch.setattr(lattices, "short_vector_shells", forbidden)
     assert shell_sizes(e8, 6) == {m: len(shells[m]) for m in (0, 2, 4, 6)}
+    fresh = Lattice(d16.name, d16.rank, d16.gram)
+    sizes = shell_sizes(fresh, 200)
+    assert sizes == {m: _eisenstein(16, m) for m in range(0, 201, 2)}
+    assert fresh._store["shells"] == {}
     with pytest.raises(ValueError):
         shell_sizes(e8, 5)
+
+
+@pytest.mark.parametrize("parts,want", [
+    (("E8", "D16plus"), {0: 1, 2: 720, 4: 179280}),
+    (("E8", "D16plus", "E8"), {0: 1, 2: 960, 4: 354240}),
+], ids=["rank24", "rank32"])
+def test_shell_sizes_solve_for_the_roots(parts, want):
+    # rank 24 and 32 have dim M_k = 2: the root count fixes the form, and
+    # the roots are the only shell walked and stored
+    lat = lattice_by_id(parts[0])
+    for name in parts[1:]:
+        lat = direct_sum(lat, lattice_by_id(name))
+    assert shell_sizes(lat, 4) == _shell_counts(lat.gram_array, 4) == want
+    assert sorted(lat._store["shells"]) == [0, 2]
+
+
+def test_modular_series_is_exact():
+    # weight 12 with no roots is the Leech lattice: 196560 and 16773120
+    assert _modular_series(12, [1, 0], 4) == [1, 0, 196560, 16773120]
+    # E_4^2: 480 sigma_7(j)
+    assert _modular_series(8, [1], 4) == [1, 480, 61920, 1050240]
+    # a forged root count leaves a non-integral coefficient
+    with pytest.raises(ArithmeticError):
+        _modular_series(12, [1, Fraction(1441, 2)], 4)
+    with pytest.raises(ValueError):
+        _modular_series(12, [1], 4)
 
 
 def test_one_shell_run_per_lattice(e8, monkeypatch):
@@ -401,7 +455,7 @@ def test_count_only_step_refuses_inexact_sqrt(e8, monkeypatch):
     assert _enumerate_array(form, 8)[0].ravel().tolist() == [0, -1, 1, -2, 2]
     monkeypatch.setattr(lattices, "_SQRT_EXACT", 1)
     with pytest.raises(ArithmeticError):
-        shell_sizes(Lattice(e8.name, e8.rank, e8.gram), 2)  # an empty store
+        short_vector_shells(Lattice(e8.name, e8.rank, e8.gram), 2)
 
 
 # orbit sizes under -1 and the reflections in the simple roots, by norm
