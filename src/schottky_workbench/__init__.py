@@ -2,6 +2,16 @@
 Fourier-expansion arithmetic, the weight-8 Schottky form, and first-order
 period-matrix degenerations."""
 
+# Before any submodule imports numpy: its OpenBLAS starts one worker per
+# core, and an idle worker busy-waits 2**28 cycles before it sleeps (the
+# default OPENBLAS_THREAD_TIMEOUT of 28).  On a 2-vCPU VM, `import numpy`
+# alone takes about 0.23 s wall and 0.35 s CPU; with the timeout at 4, CPU
+# equals wall.  The pool stays for counting's float32 products; a value set
+# by the user wins.
+import os
+
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .cache import ENGINE_VERSION, ENV_CACHE_PATH, CountCache, cache_from_env
 from .counting import CountEngine
 from .expansion import (DerivativePolynomial, DomainError, EvalResult,

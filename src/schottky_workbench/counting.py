@@ -17,6 +17,12 @@ a block of candidates is a float32 product, exact while rank * max|xG| *
 max|y| < 2**24 (checked per block); the contraction's float32 products are
 exact below 2**24 candidates per slot (checked), its float64 sum below 2**53
 completions of one fixed prefix.  Totals are Python integers.
+
+The float32 products run on numpy's BLAS thread pool, and neither the order
+of summation nor the split over threads can round: every partial sum of a
+block product is bounded by the guarded rank * max|xG| * max|y| < 2**24, and
+every partial sum of the contraction's A @ C, a sum of 0/1 products, by the
+slot's candidate count, which is below 2**24.
 """
 
 from __future__ import annotations

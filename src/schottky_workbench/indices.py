@@ -96,7 +96,9 @@ def border_zero_forced(entries) -> bool:
 
     For a psd even matrix the corner S[g][g] = 0 forces the border to vanish;
     this predicate checks the statement on a concrete matrix rather than
-    assuming it.
+    assuming it.  No program path calls it: it is kept as public API because
+    acceptance criterion 9 and `tests/test_indices.py` check the statement
+    through it.
     """
     s = validate_index(entries)
     g = len(s)
@@ -198,7 +200,12 @@ def index_table(g: int, max_trace: int) -> IndexTable:
 
 
 def transform(entries, u) -> tuple:
-    """U^T S U for an integer matrix U (tuple rows)."""
+    """U^T S U for an integer matrix U (tuple rows).
+
+    No program path calls it: it is kept because acceptance criterion 10 and
+    the GL_g(Z)-invariance tests of `tests/test_counting.py` and
+    `tests/test_indices.py` move an index by it.
+    """
     g = len(entries)
     su = [[sum(entries[i][k] * u[k][j] for k in range(g)) for j in range(g)]
           for i in range(g)]
