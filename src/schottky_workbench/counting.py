@@ -4,25 +4,22 @@ matrix.
 After the zero-slot and Cauchy-Schwarz reductions, genus 1 is a shell size,
 read from the theta series as a modular form (`shell_sizes`: at rank 8 and
 16 nothing is walked), and every genus >= 2 index runs through one
-recursion.  Slot 0 runs over orbit representatives of its shell under
-reflections in the simple roots and -1 (`shell_orbits`), each weighted by its
-orbit size: the count of completions is constant on an orbit.  Candidates
-are vectors, not indices: a slot starts as its shell, with no copy, and each
-fixed vector narrows every later slot to the rows that match it.  One open
-slot ends in its candidate count, two in a block count, three in a float32
-triple contraction.
+recursion.  Candidates are vectors, not indices: a slot starts as its shell,
+with no copy, and each fixed vector narrows every later slot to the rows
+that match it.  Each slot runs over orbit representatives of its
+candidates, each weighted by its orbit size: the count of completions is
+constant on an orbit.  Slot 0 takes the orbits of its shell under -1 and
+the reflections in the simple roots (`shell_orbits`); every later slot
+takes those under the reflections in the simple roots of the roots
+orthogonal to every vector fixed so far (`reflection_orbits`).  Such a
+reflection fixes the earlier vectors, so it permutes the slot's candidates;
+by Steinberg's theorem these reflections generate the whole stabilizer of
+the fixed vectors in the Weyl group.  The root set is narrowed one fixed
+vector at a time, as the candidates are.  The recursion stops when one slot
+is open, and that slot's candidate count is its only leaf.
 
-Exactness: inner products of one fixed vector with candidates are int64;
-a block of candidates is a float32 product, exact while rank * max|xG| *
-max|y| < 2**24 (checked per block); the contraction's float32 products are
-exact below 2**24 candidates per slot (checked), its float64 sum below 2**53
-completions of one fixed prefix.  Totals are Python integers.
-
-The float32 products run on numpy's BLAS thread pool, and neither the order
-of summation nor the split over threads can round: every partial sum of a
-block product is bounded by the guarded rank * max|xG| * max|y| < 2**24, and
-every partial sum of the contraction's A @ C, a sum of 0/1 products, by the
-slot's candidate count, which is below 2**24.
+Exactness: every inner product is an int64 product of one fixed vector with
+int8 candidates, and totals are Python integers.
 """
 
 from __future__ import annotations
@@ -31,10 +28,8 @@ import numpy as np
 
 from . import indices as idx
 from .cache import CountCache, index_key
-from .lattices import Lattice, shell_orbits, shell_sizes, short_vector_shells
-
-# float32 represents every integer below 2**24 exactly
-_F32_EXACT = 1 << 24
+from .lattices import (Lattice, reflection_orbits, shell_orbits, shell_sizes,
+                       short_vector_shells)
 
 
 class CountEngine:
@@ -89,56 +84,30 @@ class CountEngine:
     # -- genus >= 2: fix slots one vector at a time ------------------------
 
     def _count_dfs(self, s) -> int:
-        """Fix x_0 to each orbit representative, weighted by its orbit size,
-        then x_1, ... one vector at a time until at most three slots are
-        open, and count those by size, one block or one contraction."""
-        g = len(s)
-        norms = [s[p][p] for p in range(g)]
+        """Fix x_0, x_1, ... one orbit representative at a time, each
+        weighted by its orbit size, until one slot is open, and count its
+        candidates."""
+        norms = [s[p][p] for p in range(len(s))]
         shells = short_vector_shells(self.lattice, max(norms))
-        vs = [shells[n] for n in norms]
         gram = self.lattice.gram_array
 
-        def hit(p, q, x, y):
-            """<x, y> == s[p][q] for x in slot p and the candidate vectors y
-            of slot q: exact int64 products for one vector x, float32
-            products of only these candidates for a block of vectors x."""
-            if x.ndim == 1:
-                return np.einsum("ki,i->k", y, gram @ x) == s[p][q]
-            xg = x @ gram
-            y_max = max(int(y.max()), -int(y.min()))   # no int8 abs: -128
-            if self.lattice.rank * int(np.abs(xg).max()) * y_max >= _F32_EXACT:
-                raise OverflowError(
-                    "inner products of this block can reach 2**24: float32 "
-                    "products would not be exact")
-            return xg.astype(np.float32) @ y.T.astype(np.float32) == s[p][q]
-
-        def rec(p, x, cands):
+        def rec(p, x, cands, roots):
             """Completions of x_p = x; cands[i] holds the candidate vectors
-            of slot p + 1 + i."""
-            later = [c[hit(p, p + i, x, c)] for i, c in enumerate(cands, 1)]
+            of slot p + 1 + i, and roots the roots orthogonal to x_0..x_{p-1}.
+            """
+            xg = gram @ x
+            later = [c[np.einsum("ki,i->k", c, xg) == s[p][p + i]]
+                     for i, c in enumerate(cands, 1)]
             if any(len(c) == 0 for c in later):
                 return 0
             if len(later) == 1:
                 return len(later[0])
-            if len(later) == 2:
-                return int(hit(p + 1, p + 2, *later).sum())
-            if len(later) == 3:
-                return contract(p + 1, *later)
-            return sum(rec(p + 1, y, later[1:]) for y in later[0])
-
-        def contract(p, j, k, l):
-            """sum_{j,k,l} A[j,k] C[k,l] B[j,l] over slots p, p+1, p+2, in
-            float32 (an entry of A C is at most the slot p+1 count)."""
-            if max(len(j), len(k), len(l)) >= _F32_EXACT:
-                raise OverflowError(
-                    "a slot has 2**24 or more candidates: the float32 "
-                    "contraction would not be exact")
-            a = hit(p, p + 1, j, k).astype(np.float32)
-            b = hit(p, p + 2, j, l).astype(np.float32)
-            c = hit(p + 1, p + 2, k, l).astype(np.float32)
-            return int(np.rint(((a @ c) * b).sum(dtype=np.float64)))
+            roots = roots[np.einsum("ki,i->k", roots, xg) == 0]
+            reps, sizes = reflection_orbits(later[0], gram, roots)
+            return sum(int(w) * rec(p + 1, later[0][r], later[1:], roots)
+                       for r, w in zip(reps, sizes))
 
         reps, sizes = shell_orbits(self.lattice, norms[0])
-        return sum(int(w) * rec(0, x, vs[1:])
-                   for x, w in zip(vs[0][reps], sizes))
-
+        return sum(int(w) * rec(0, shells[norms[0]][r],
+                                [shells[n] for n in norms[1:]], shells[2])
+                   for r, w in zip(reps, sizes))

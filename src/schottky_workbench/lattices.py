@@ -389,62 +389,69 @@ def shell_sizes(lat: Lattice, max_norm: int) -> dict:
 def _simple_roots(gram: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """The simple roots among the norm-2 vectors `roots` of a lattice.
 
-    A root is positive when its height, its coordinates dotted with the
-    square roots of the first rank primes (independent over Q, so no root
-    has height 0), is positive.  The root system is simply laced, so a
-    positive root r is simple unless a positive s of smaller height has
-    <r, s> = 1 (then r - s is a positive root too).
+    A root is positive when its first nonzero coordinate is positive.  The
+    lexicographic order is compatible with addition, and the root system is
+    simply laced, so a positive root r is simple unless a lexicographically
+    smaller positive s has <r, s> = 1 (then r - s is a positive root too).
+    Exact int64 throughout.
     """
-    rank = len(gram)
-    primes = [p for p in range(2, 8 * rank) if all(p % d for d in range(2, p))]
-    height = roots @ np.sqrt(primes[:rank])
-    pos = roots[height > 0].astype(np.int64)
-    pos = pos[np.argsort(height[height > 0])]
-    # row i has a 1 at a column j < i: a positive root of smaller height
+    lead = roots[np.arange(len(roots)), (roots != 0).argmax(axis=1)]
+    pos = roots[lead > 0].astype(np.int64)
+    pos = pos[np.lexsort(pos.T[::-1])]
+    # row i has a 1 at a column j < i: a smaller positive root
     lower = np.tril(pos @ gram @ pos.T == 1, k=-1)
     return pos[~lower.any(axis=1)]
 
 
-def shell_orbits(lat: Lattice, norm: int):
-    """Orbits of the norm-`norm` shell under the group generated by -1 and
-    the reflections x -> x - <x, r> r in the simple roots r, as
-    (representatives, sizes); a representative is its orbit's first row.
+def reflection_orbits(x: np.ndarray, gram: np.ndarray, roots: np.ndarray,
+                      negate: bool = False):
+    """Orbits of the rows of x under the group generated by the reflections
+    y -> y - <y, r> r in the simple roots r of the root system `roots`
+    (`_simple_roots`), and by -1 if `negate`, as (representatives, sizes);
+    a representative is its orbit's first row.
 
-    Each generator permutes the shell's rows, matched by their exact int16
-    bytes; one that maps a row outside the shell raises LatticeError.
-    Labels start as row indices and take the least label over each
-    generator's images, with pointer jumping, until they are stable.  The
-    generators are involutions, so each orbit's label is then its least
-    index.  Kept in the lattice's store, keyed by norm.
+    Each generator permutes the rows, matched by their exact int16 bytes;
+    one that maps a row outside them raises LatticeError.  Labels start as
+    row indices and take the least label over each generator's images,
+    with pointer jumping, until they are stable.  The generators are
+    involutions, so each orbit's label is then its least index.
     """
-    store = lat._store["orbits"]
-    if norm in store:
-        return store[norm]
-    shells = short_vector_shells(lat, max(norm, 2))
-    x = shells[norm].astype(np.int16)
-    row = np.dtype((np.void, 2 * lat.rank))     # one exact key per row
-    keys = x.view(row).ravel()
+    xs = x.astype(np.int16)
+    row = np.dtype((np.void, 2 * x.shape[1]))    # one exact key per row
+    keys = xs.view(row).ravel()
     order = np.argsort(keys)
 
     def permutation(image):
         image = image.view(row).ravel()
         at = np.searchsorted(keys, image, sorter=order)
         if not (keys[order].take(at, mode="clip") == image).all():
-            raise LatticeError("a generator does not map the shell onto itself")
+            raise LatticeError("a generator does not map the rows onto "
+                               "themselves")
         return order[at]
 
-    g = lat.gram_array
-    perms = [permutation(-x)]
-    for r in _simple_roots(g, shells[2]):
-        ip = np.einsum("ki,i->k", shells[norm], g @ r).astype(np.int16)
-        perms.append(permutation(x - ip[:, None] * r.astype(np.int16)))
+    perms = [permutation(-xs)] if negate else []
+    for r in _simple_roots(gram, roots):
+        ip = np.einsum("ki,i->k", x, gram @ r).astype(np.int16)
+        perms.append(permutation(xs - ip[:, None] * r.astype(np.int16)))
     labels, last = np.arange(len(x)), None
     while last is None or (labels != last).any():
         last = labels
         for perm in perms:
             labels = np.minimum(labels, labels[perm])
         labels = labels[labels]
-    store[norm] = np.unique(labels, return_counts=True)
+    return np.unique(labels, return_counts=True)
+
+
+def shell_orbits(lat: Lattice, norm: int):
+    """Orbits of the norm-`norm` shell under -1 and the reflections in the
+    simple roots (`reflection_orbits`), as (representatives, sizes).  Kept
+    in the lattice's store, keyed by norm.
+    """
+    store = lat._store["orbits"]
+    if norm not in store:
+        shells = short_vector_shells(lat, max(norm, 2))
+        store[norm] = reflection_orbits(shells[norm], lat.gram_array,
+                                        shells[2], negate=True)
     return store[norm]
 
 

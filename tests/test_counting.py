@@ -2,7 +2,12 @@
 
 import collections
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,8 @@ from schottky_workbench.cache import CountCache
 from schottky_workbench.counting import CountEngine
 from schottky_workbench.lattices import Lattice, short_vector_shells
 from schottky_workbench.theta import theta_expansion
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _naive_pair_counts(lat, d1, d2):
@@ -205,52 +212,83 @@ def test_expansion_fills_one_store(e8):
     assert e8._store is not store
 
 
-def test_block_refuses_inexact_float32(e8, monkeypatch):
-    # slot 0 of diag(2,2,2) is root 0, the one E8 orbit's representative;
-    # the 126 roots orthogonal to it have |xG| <= 2 and coordinates up to 4,
-    # so the block of slots 1 and 2 has guard value 8 * 2 * 4 = 64
-    s = ((2, 0, 0), (0, 2, 0), (0, 0, 2))
-    monkeypatch.setattr(counting, "_F32_EXACT", 64)
-    with pytest.raises(OverflowError):
-        CountEngine(e8).count(s)
-    monkeypatch.setattr(counting, "_F32_EXACT", 65)
-    assert CountEngine(e8).count(s) == 1814400
+def _trivial_orbits(n):
+    """Every one of n rows its own weight-1 orbit."""
+    return np.arange(n), np.ones(n, dtype=np.int64)
 
 
-def test_contraction_refuses_inexact_float32(e8, monkeypatch):
-    # a root of E8 is orthogonal to 126 others: every slot of diag(2,2,2,2)
-    # has 126 candidates, so a stubbed exactness bound of 126 must trip
-    s = tuple(tuple(2 if p == q else 0 for q in range(4)) for p in range(4))
-    monkeypatch.setattr(counting, "_F32_EXACT", 126)
-    with pytest.raises(OverflowError):
-        CountEngine(e8).count(s)
-    monkeypatch.setattr(counting, "_F32_EXACT", 127)
-    assert CountEngine(e8).count(s) > 0
+def _d16_classes():
+    """The first five D16+ (2, 2, 4) indices that Cauchy-Schwarz does not
+    reduce to genus 2."""
+    return [s for s in idx.enumerate_indices(3, 8)
+            if (s[0][0], s[1][1], s[2][2]) == (2, 2, 4)
+            and abs(s[0][1]) < 2][:5]
+
+
+def _counts_with_trivial(monkeypatch, name, trivial, targets):
+    """Counts of `targets` by one fresh engine per lattice, before and
+    after the orbit function `name` of the counting module is replaced by
+    `trivial`."""
+    def counts():
+        return {lat: list(map(CountEngine(lat).count, ts))
+                for lat, ts in targets.items()}
+
+    want = counts()
+    monkeypatch.setattr(counting, name, trivial)
+    return counts(), want
 
 
 def test_trivial_orbits_count_the_same(e8, d16, monkeypatch):
     # with every vector its own weight-1 orbit, slot 0 runs over its whole
-    # shell: the unweighted recursion is the orbit weighting's oracle; the
-    # genus-5 root systems A5 and D5 run its recursion past three open slots
+    # shell: the unweighted slot 0 is the orbit weighting's oracle; the
+    # genus-5 root systems A5 and D5 run the recursion through four slots
     targets = {
         e8: list(idx.enumerate_indices(3, 6)) +
         [s for s in idx.enumerate_indices(4, 8)
          if all(s[p][p] == 2 for p in range(4))] + [A5, D5],
-        # the first five that Cauchy-Schwarz does not reduce to genus 2
-        d16: [s for s in idx.enumerate_indices(3, 8)
-              if (s[0][0], s[1][1], s[2][2]) == (2, 2, 4)
-              and abs(s[0][1]) < 2][:5],
+        d16: _d16_classes(),
     }
-    want = {}
-    for lat, ts in targets.items():
-        eng = CountEngine(lat)
-        want[lat] = [eng.count(s) for s in ts]
+    got, want = _counts_with_trivial(
+        monkeypatch, "shell_orbits",
+        lambda lat, norm: _trivial_orbits(
+            len(short_vector_shells(lat, norm)[norm])), targets)
+    assert got == want
 
-    def trivial_orbits(lat, norm):
-        n = len(short_vector_shells(lat, norm)[norm])
-        return np.arange(n), np.ones(n, dtype=np.int64)
 
-    monkeypatch.setattr(counting, "shell_orbits", trivial_orbits)
-    for lat, ts in targets.items():
-        eng = CountEngine(lat)
-        assert [eng.count(s) for s in ts] == want[lat]
+def test_trivial_later_orbits_count_the_same(e8, d16, monkeypatch):
+    # the same oracle for the slots after slot 0: each runs over all its
+    # candidates, while slot 0 keeps its orbits
+    targets = {e8: list(idx.enumerate_indices(3, 6)) + [A5, D5],
+               d16: _d16_classes()}
+    got, want = _counts_with_trivial(
+        monkeypatch, "reflection_orbits",
+        lambda x, gram, roots: _trivial_orbits(len(x)), targets)
+    assert got == want
+
+
+# runs the (2, 4, 4) leaves on both rank-16 lattices with the address space
+# capped; OpenBLAS reserves buffers per thread, so the child keeps one
+_LEAF_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from schottky_workbench import CountEngine, lattice_by_id
+classes = json.loads(sys.argv[1])
+print(json.dumps([[CountEngine(lattice_by_id(lid)).count(s) for s in classes]
+                  for lid in ("D16plus", "E8E8")]))
+"""
+
+
+def test_genus3_leaves_count_in_one_gigabyte():
+    # the first class once formed a 33156 x 33156 block of slots 1 and 2
+    classes = [((2, 0, 0), (0, 4, -3), (0, -3, 4)),
+               ((2, 0, 0), (0, 4, 0), (0, 0, 4)),
+               ((2, -1, 0), (-1, 4, -3), (0, -3, 4))]
+    want = [1355304960, 193273516800, 179988480]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _LEAF_CHILD,
+                          json.dumps(classes)], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [want, want]

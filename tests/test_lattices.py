@@ -22,8 +22,9 @@ from schottky_workbench.lattices import (Lattice, LatticeError,
                                          UnsupportedLatticeError,
                                          _modular_series, _shells,
                                          _simple_roots, _vectors, direct_sum,
-                                         lattice_by_id, shell_orbits,
-                                         shell_sizes, short_vector_shells)
+                                         lattice_by_id, reflection_orbits,
+                                         shell_orbits, shell_sizes,
+                                         short_vector_shells)
 
 
 def _ambient_count(n: int, norm: int, with_halves: bool) -> int:
@@ -504,3 +505,30 @@ def test_orbit_generators_are_automorphisms(name):
         image = shell.astype(np.int64) @ word.T
         assert sorted(map(tuple, image.tolist())) == \
             sorted(map(tuple, shell.tolist())), norm
+
+
+# orbits of the roots y, grouped by <x_0, y> = -2..2, under the reflections
+# in the roots orthogonal to a root x_0: E7 on E8, D14 + A1 on D16+
+_STABILIZER_ORBIT_SIZES = {
+    "E8": [[1], [56], [126], [56], [1]],
+    "D16plus": [[1], [56], [2, 364], [56], [1]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STABILIZER_ORBIT_SIZES))
+def test_reflection_orbits_of_a_root_stabilizer(name):
+    lat = lattice_by_id(name)
+    g = lat.gram_array
+    roots = short_vector_shells(lat, 2)[2]
+    ip = roots.astype(np.int64) @ (g @ roots[0])
+    orth = roots[ip == 0]
+    sizes = []
+    for t in range(-2, 3):
+        reps, n = reflection_orbits(roots[ip == t], g, orth)
+        assert n.sum() == (ip == t).sum()
+        assert reps[0] == 0 and (np.diff(reps) > 0).all()
+        sizes.append(n.tolist())
+    assert sizes == _STABILIZER_ORBIT_SIZES[name]
+    # a reflection in a root not orthogonal to x_0 leaves the rows
+    with pytest.raises(LatticeError, match="onto themselves"):
+        reflection_orbits(roots[ip == 1], g, roots)

@@ -1,5 +1,5 @@
 """numpy's OpenBLAS thread pool: the package's idle-spin default, and counts
-that do not depend on how the float32 products are split over threads."""
+that do not depend on the pool's size."""
 
 import json
 import os
@@ -13,8 +13,10 @@ from schottky_workbench import CountEngine, lattice_by_id
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# genus-4 classes end in the float32 triple contraction, genus-3 ones in a
-# float32 block count; the last one forms products large enough to be split
+# the counting recursion is exact int64 and calls no BLAS routine, and the
+# shell walk it reads pads every float interval, so counts must not move
+# with OPENBLAS_NUM_THREADS; these classes reach their one open slot after
+# two or three orbit levels, on both lattices
 CLASSES = [
     ("E8", ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)), 47174400),
     ("E8", ((2, 1, 0, 0), (1, 2, 1, 0), (0, 1, 2, 1), (0, 0, 1, 4)), 29030400),
