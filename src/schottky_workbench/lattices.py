@@ -149,12 +149,13 @@ def _expand(lo: np.ndarray, hi: np.ndarray):
 
 
 # the walk expands each level in blocks of at most this many new prefixes
-# and finishes one block before it starts the next, so its memory does not
-# grow with the number of vectors
+# and finishes one block before it starts the next; a level keeps one
+# block's exact state and trail (parent row, new coordinate), not its
+# coordinates, so the walk's memory does not grow with the number of vectors
 _WALK_ROWS = 1 << 12
 
 
-def _prefix_walk(gram: np.ndarray, max_norm: int, coords: bool):
+def _prefix_walk(gram: np.ndarray, max_norm: int):
     """Blocks of every prefix (x_0..x_{n-2}) that can reach norm <= max_norm.
 
     Coordinates are filled first to last.  A prefix carries exact integer
@@ -164,10 +165,18 @@ def _prefix_walk(gram: np.ndarray, max_norm: int, coords: bool):
     and the minimum itself is the carried float `partial`.  Each interval
     is padded by small float slack, so the walk can only overproduce
     prefixes, never lose one.  Each level is expanded in blocks of at most
-    `_WALK_ROWS` new prefixes, walked depth first.  Yields (xs, q, h_last) per
-    block, blocks in lexicographic order: int16 coordinates with the last
-    column still zero (None unless `coords`), and q and h of the last
-    coordinate.
+    `_WALK_ROWS` new prefixes, walked depth first.  Yields (trail, q, h_last)
+    per block, blocks in lexicographic order: q and h of the last
+    coordinate, and the trail of the block's coordinates, one pair
+    (parent row, int16 value) per filled coordinate i: entry i maps each
+    prefix of level i to its row at level i - 1 and its x_i.
+
+    A level holds no coordinates and no float temporaries while the walk
+    descends: its block's q, h and partial, the block boundaries of its
+    children and its trail entry.  h is kept only on the open coordinates
+    k that a filled one touches (G[:i, k] != 0 at level i), fixed per
+    level by the zero pattern of G; every other entry is identically zero.
+    On E8, E8 + E8 and D16+ that is at most 2 columns.
 
     Only the zero prefix and the lexicographically positive prefixes (first
     nonzero coordinate > 0) are walked; their negations are the rest.  G is
@@ -177,48 +186,70 @@ def _prefix_walk(gram: np.ndarray, max_norm: int, coords: bool):
     """
     n = gram.shape[0]
     bound = float(max_norm) + 0.25
-    # row 0 of G_uu^{-1} for u = (i..n-1): its entry 0 is 1 / (the LDL
-    # pivot of x_i), and minus its product with h is the center of x_i
-    inv_rows = [np.linalg.inv(gram[i:, i:].astype(np.float64))[0]
-                for i in range(n - 1)]
+    # the columns of h at level i: the open coordinates a filled one touches
+    live = [np.flatnonzero(gram[:i, i:].any(axis=0)) + i for i in range(n)]
+    levels = []
+    for i in range(n - 1):
+        # row 0 of G_uu^{-1} for u = (i..n-1): its entry 0 is 1 / (the LDL
+        # pivot of x_i), and minus its product with h is the center of x_i
+        w = np.linalg.inv(gram[i:, i:].astype(np.float64))[0]
+        at = {k: j for j, k in enumerate(live[i].tolist())}
+        # each column of level i + 1: its column at level i (None if it
+        # opens now) and its coefficient G_ik of x_i
+        moves = [(at.get(k), int(gram[i, k])) for k in live[i + 1].tolist()]
+        levels.append((w[live[i] - i], w[0], at.get(i), moves))
 
-    def descend(i, xs, q, h, partial):
-        if i == n - 1:
-            yield xs, q, h[:, 0]
-            return
-        w = inv_rows[i]
-        c = h @ w
-        radius = np.sqrt(np.maximum(bound - partial, 0.0) * w[0])
+    def interval(i, q, h, partial):
+        """the center c of x_i on these prefixes and its padded interval
+        [lo, hi]; elementwise, so a slice of a block gets the same floats
+        as the whole block"""
+        w, w0 = levels[i][:2]
+        c = np.zeros(len(q))
+        for j, wj in enumerate(w):
+            c += h[:, j] * wj
+        radius = np.sqrt(np.maximum(bound - partial, 0.0) * w0)
         pad = 1e-7 * (1.0 + np.abs(c))
         lo = np.ceil(-c - radius - pad).astype(np.int64)
         hi = np.floor(-c + radius + pad).astype(np.int64)
         lo[q == 0] = 0
+        return c, lo, hi
+
+    def descend(i, trail, q, h, partial):
+        if i == n - 1:
+            # h has at most one column now: that of the last coordinate
+            yield trail, q, h[:, 0] if h.shape[1] else np.zeros_like(q)
+            return
+        # a level keeps only its block boundaries: each block's centers and
+        # intervals are formed again from its own parents
+        lo, hi = interval(i, q, h, partial)[1:]
         ends = np.cumsum(np.maximum(hi - lo + 1, 0))
+        del lo, hi
+        w0, at, moves = levels[i][1:]
         b = 0
-        while b < len(lo):
+        while b < len(ends):
             # the next parents whose children fit in one block
             e = int(np.searchsorted(ends, (ends[b - 1] if b else 0)
                                     + _WALK_ROWS, "right"))
             e = max(e, b + 1)
-            rep, xi = _expand(lo[b:e], hi[b:e])
-            rep += b
+            c, lo, hi = interval(i, q[b:e], h[b:e], partial[b:e])
+            rep, xi = _expand(lo, hi)
             y = xi + c[rep]
-            hb = h[rep]
-            qb = q[rep] + xi * (gram[i, i] * xi + 2 * hb[:, 0])
-            hb = hb[:, 1:]
-            for k in np.flatnonzero(gram[i, i + 1 :]):
-                hb[:, k] += gram[i, i + 1 + k] * xi
-            xb = None
-            if xs is not None:
-                xb = xs[rep]
-                xb[:, i] = xi
-            yield from descend(i + 1, xb, qb, hb,
-                               partial[rep] + y * y / w[0])
+            rep += b
+            hx = 0 if at is None else h[rep, at]
+            qb = q[rep] + xi * (gram[i, i] * xi + 2 * hx)
+            hb = np.empty((len(rep), len(moves)), dtype=np.int64)
+            for j, (src, gik) in enumerate(moves):
+                hb[:, j] = gik * xi
+                if src is not None:
+                    hb[:, j] += h[rep, src]
+            pb = partial[rep] + y * y / w0
+            step = (rep, xi.astype(np.int16))
+            del c, lo, hi, y, hx, xi
+            yield from descend(i + 1, trail + (step,), qb, hb, pb)
             b = e
 
-    yield from descend(0, np.zeros((1, n), dtype=np.int16) if coords else None,
-                       np.zeros(1, dtype=np.int64),
-                       np.zeros((1, n), dtype=np.int64), np.zeros(1))
+    yield from descend(0, (), np.zeros(1, dtype=np.int64),
+                       np.zeros((1, 0), dtype=np.int64), np.zeros(1))
 
 
 def _vectors(gram: np.ndarray, max_norm: int, coords: bool):
@@ -231,29 +262,43 @@ def _vectors(gram: np.ndarray, max_norm: int, coords: bool):
     `_prefix_walk` fills every coordinate but the last, x, which ranges
     over the exact integer interval of a x^2 + 2 h x + q <= max_norm
     (a = G_ll) with ends from `_isqrt`, so no norm needs a filter; on
-    the zero prefix (q = 0) it starts at 1.  Memory is the walk's bounded
-    state plus one block.  A coordinate with |x| > 32767 (in the walk) or,
-    with `coords`, |x| > 127 raises LatticeError, so negating a block never
-    wraps; the full ellipsoid is symmetric, so it reaches -128 exactly when
-    it reaches 128.  A discriminant at or above 2**52 raises
-    ArithmeticError.
+    the zero prefix (q = 0) it starts at 1.  With `coords`, the
+    coordinates of a block's prefixes are rebuilt once, by following the
+    walk's trail back to the root, and each vector takes its prefix's row.
+    Memory is the walk's bounded state plus one block.  A coordinate with
+    |x| > 32767 (in the walk) or, with `coords`, |x| > 127 in any column of
+    a finished block raises LatticeError, so negating a block never wraps;
+    the full ellipsoid is symmetric, so it reaches -128 exactly when it
+    reaches 128.  A discriminant at or above 2**52 raises ArithmeticError.
     """
     gram = np.asarray(gram, dtype=np.int64)
     n = gram.shape[0]
     a = int(gram[n - 1, n - 1])
-    for xs, q, h in _prefix_walk(gram, max_norm, coords):
+    for trail, q, h in _prefix_walk(gram, max_norm):
         disc = h * h - a * (q - max_norm)
         r = _isqrt(np.maximum(disc, 0))
         lo = -((h + r) // a)
         lo[q == 0] = 1
         hi = np.where(disc >= 0, (r - h) // a, lo - 1)
         rep, xi = _expand(lo, hi)
-        if xs is not None:
-            xs = xs[rep]
+        xs = None
+        if coords:
+            # the prefixes' coordinates, followed back along the trail
+            prefixes = np.zeros((len(q), n), dtype=np.int16)
+            row = np.arange(len(q))
+            for j in range(n - 2, -1, -1):
+                parent, x = trail[j]
+                prefixes[:, j] = x[row]
+                row = parent[row]
+            # the guard reads what the vectors hold: the prefixes with a
+            # nonempty last interval (on E8, E8 + E8 and D16+, all of them),
+            # and the last coordinates
+            used = hi >= lo
+            for v in (prefixes if used.all() else prefixes[used], xi):
+                if v.size and (v.min() < -127 or v.max() > 127):
+                    raise LatticeError("coordinates exceed int8 range")
+            xs = prefixes.astype(np.int8)[rep]
             xs[:, n - 1] = xi
-            if len(xs) and (xs.min() < -127 or xs.max() > 127):
-                raise LatticeError("coordinates exceed int8 range")
-            xs = xs.astype(np.int8)
         yield xs, q[rep] + xi * (a * xi + 2 * h[rep])
 
 
@@ -278,6 +323,22 @@ def _shells(gram: np.ndarray, max_norm: int) -> dict:
         np.concatenate(half, out=shell[k:])
         np.negative(shell[k:][::-1], out=shell[:k])
     return shells
+
+
+def _shell_counts(gram: np.ndarray, max_norm: int) -> dict:
+    """{m: #{x : x^T G x = m}} for even m <= max_norm, without building x:
+    the count-only walk, which the genus-1 direct sum reads and which is
+    the walk oracle of `shell_sizes`.
+
+    Bincounts the exact norms of `_vectors` block by block, with no
+    coordinates: memory is the walk's bounded state plus one block's norms.
+    The walk visits one of x and -x, so each count m > 0 is twice its
+    bincount, and norm 0 has the zero vector alone.
+    """
+    counts = 0      # an array from the first block on (see `_shells`)
+    for _, norms in _vectors(gram, max_norm, coords=False):
+        counts = counts + np.bincount(norms // 2, minlength=max_norm // 2 + 1)
+    return {2 * k: 2 * int(c) if k else 1 for k, c in enumerate(counts)}
 
 
 def _check_norm(max_norm: int):

@@ -16,7 +16,7 @@ from . import indices as idx
 from .counting import CountEngine
 from .expansion import (EvalResult, FourierExpansion,
                         IncompatibleExpansionError, SiegelPoint)
-from .lattices import Lattice, short_vector_shells
+from .lattices import Lattice, _shell_counts, short_vector_shells
 
 
 def theta_expansion(lat: Lattice, g: int, max_trace: int,
@@ -84,11 +84,13 @@ def theta_eval(lat: Lattice, g: int, point: SiegelPoint,
     """Direct theta sum over tuples (x_1..x_g) with total norm <= budget.
 
     Independent numerical oracle: it sums over actual lattice vectors from
-    short_vector_shells and never consults representation counts, pair
+    the shell walk and never consults representation counts, pair
     histograms or stored expansions.  Genus 1 is a closed sum over shell
-    sizes, read from the built shells and not from lattices.shell_sizes:
-    that modular form serves the series side, and the direct path stays
-    independent of it.  From genus 2 on, the first g - 2 slots are walked
+    sizes, counted by the count-only walk lattices._shell_counts, which
+    builds no shell; they are not read from lattices.shell_sizes: that
+    modular form serves the series side, and the direct path stays
+    independent of it.  From genus 2 on, the vectors come from
+    short_vector_shells: the first g - 2 slots are walked
     vector by vector and the last two are summed per pair of shell norms
     (m1, m2) in one blockwise operation: the integer inner products <x, y>
     of a block of the norm-m1 shell against the whole norm-m2 shell are
@@ -108,17 +110,19 @@ def theta_eval(lat: Lattice, g: int, point: SiegelPoint,
     if norm_budget < 0 or norm_budget % 2 != 0:
         raise ValueError("norm_budget must be a non-negative even integer")
     tau = point.matrix
-    shells = short_vector_shells(lat, norm_budget)
-    norms = sorted(shells)
-    gram = lat.gram_array
-
     pii = 1j * math.pi
     if g == 1:
+        sizes = _shell_counts(lat.gram_array, norm_budget)
+        norms = sorted(sizes)
         total = 0j
         for m in norms:
-            total += len(shells[m]) * np.exp(pii * m * complex(tau[0, 0]))
+            total += sizes[m] * np.exp(pii * m * complex(tau[0, 0]))
     else:
-        total = _last_two_slots(shells, norms, gram, tau, norm_budget)
+        shells = short_vector_shells(lat, norm_budget)
+        sizes = {m: len(v) for m, v in shells.items()}
+        norms = sorted(shells)
+        total = _last_two_slots(shells, norms, lat.gram_array, tau,
+                                norm_budget)
 
     # tuples of total norm exactly norm_budget, by norm composition
     ways = {0: 1}
@@ -127,7 +131,7 @@ def theta_eval(lat: Lattice, g: int, point: SiegelPoint,
         for used, c in ways.items():
             for m in norms:
                 if used + m <= norm_budget:
-                    nxt[used + m] = nxt.get(used + m, 0) + c * len(shells[m])
+                    nxt[used + m] = nxt.get(used + m, 0) + c * sizes[m]
         ways = nxt
     boundary = ways.get(norm_budget, 0)
     lam = point.im_min_eig

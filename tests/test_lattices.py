@@ -12,6 +12,7 @@ the theta series' modular form.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +21,8 @@ import pytest
 from schottky_workbench import lattices
 from schottky_workbench.lattices import (Lattice, LatticeError,
                                          UnsupportedLatticeError,
-                                         _modular_series, _shells,
-                                         _simple_roots, _vectors, direct_sum,
+                                         _modular_series, _shell_counts,
+                                         _shells, _simple_roots, direct_sum,
                                          lattice_by_id, reflection_orbits,
                                          shell_orbits, shell_sizes,
                                          short_vector_shells)
@@ -171,21 +172,6 @@ def _enumerate_array(gram, max_norm):
                       [len(v) for v in shells.values()]))
 
 
-def _shell_counts(gram: np.ndarray, max_norm: int) -> dict:
-    """{m: #{x : x^T G x = m}} for even m <= max_norm, without building x:
-    the walk oracle of `shell_sizes`.
-
-    Bincounts the exact norms of `_vectors` block by block, with no
-    coordinates: memory is the walk's bounded state plus one block's norms.
-    The walk visits one of x and -x, so each count m > 0 is twice its
-    bincount, and norm 0 has the zero vector alone.
-    """
-    counts = 0      # an array from the first block on (see `_shells`)
-    for _, norms in _vectors(gram, max_norm, coords=False):
-        counts = counts + np.bincount(norms // 2, minlength=max_norm // 2 + 1)
-    return {2 * k: 2 * int(c) if k else 1 for k, c in enumerate(counts)}
-
-
 def test_enumeration_refuses_int16_coordinates():
     # the rank-1 form 2x^2 <= 2 * 32768**2 allows x = +-32768 (65537 values)
     with pytest.raises(LatticeError, match="int16"):
@@ -212,6 +198,31 @@ def test_enumeration_refuses_int16_coordinates():
     assert _shell_counts(skew(32767), 2) == {0: 1, 2: 4}
     with pytest.raises(LatticeError, match="int16"):
         _shell_counts(skew(32768), 2)
+    # plus 2 x_2^2: now -k sits in a middle coordinate, which is rebuilt
+    # from the walk's trail and not from the last interval
+    def middle(k):
+        return np.array([[2 * k * k + 2, 2 * k, 0], [2 * k, 2, 0], [0, 0, 2]])
+    assert _shells(middle(127), 2)[2].tolist() == [
+        [-1, 127, 0], [0, -1, 0], [0, 0, -1], [0, 0, 1], [0, 1, 0],
+        [1, -127, 0]]
+    with pytest.raises(LatticeError, match="int8"):
+        _shells(middle(128), 2)
+
+
+@pytest.mark.parametrize("name", ["D16plus", "E8E8"])
+def test_walk_memory_stays_bounded(name):
+    # a walk level keeps one block's trail (parent row, new coordinate), its
+    # norms q, the columns of h that a filled coordinate touches and the
+    # float partial norms; the norm-4 shells themselves are 0.95 MiB
+    gram = lattice_by_id(name).gram_array
+    tracemalloc.start()
+    try:
+        shells = _shells(gram, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {m: len(v) for m, v in shells.items()} == {0: 1, 2: 480, 4: 61920}
+    assert peak < 4 << 20, f"{peak / 2 ** 20:.2f} MiB"
 
 
 def _enumerate_array_reference(gram, max_norm):

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from schottky_workbench import counting, theta
+from schottky_workbench import counting, lattices, theta
 from schottky_workbench import indices as idx
 from schottky_workbench.cache import CountCache
 from schottky_workbench.expansion import SiegelPoint, evaluate, siegel_operator
-from schottky_workbench.lattices import direct_sum, short_vector_shells
+from schottky_workbench.lattices import (Lattice, direct_sum,
+                                         short_vector_shells)
 from schottky_workbench.theta import (default_norm_budget, theta_eval,
                                       theta_expansion)
 
@@ -125,6 +126,27 @@ def test_theta_eval_never_calls_counting(e8, monkeypatch):
     monkeypatch.setattr(counting, "shell_orbits", forbidden)
     got = theta_eval(e8, 2, pt, 6).value
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("name, budget", [("e8", 8), ("d16", 4)])
+def test_genus1_eval_builds_no_shell(name, budget, request, monkeypatch):
+    # genus 1 reads its sizes from the count-only walk: neither the shells
+    # nor the modular form of lattices.shell_sizes
+    named = request.getfixturevalue(name)
+    lat = Lattice(named.name, named.rank, named.gram)   # an empty store
+    want, tail = _theta_eval_reference(named, 1, TAU[1], budget)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("genus-1 theta_eval built shells or read the "
+                             "modular form")
+
+    monkeypatch.setattr(theta, "short_vector_shells", forbidden)
+    monkeypatch.setattr(lattices, "short_vector_shells", forbidden)
+    monkeypatch.setattr(lattices, "shell_sizes", forbidden)
+    got = theta_eval(lat, 1, TAU[1], budget)
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+    assert got.tail_estimate == tail
+    assert lat._store["shells"] == {}
 
 
 def test_genus1_coefficients(e8, d16):
