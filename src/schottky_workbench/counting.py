@@ -6,17 +6,20 @@ read from the theta series as a modular form (`shell_sizes`: at rank 8 and
 16 nothing is walked), and every genus >= 2 index runs through one
 recursion.  Candidates are vectors, not indices: a slot starts as its shell,
 with no copy, and each fixed vector narrows every later slot to the rows
-that match it.  Each slot runs over orbit representatives of its
-candidates, each weighted by its orbit size: the count of completions is
-constant on an orbit.  Slot 0 takes the orbits of its shell under -1 and
-the reflections in the simple roots (`shell_orbits`); every later slot
-takes those under the reflections in the simple roots of the roots
-orthogonal to every vector fixed so far (`reflection_orbits`).  Such a
-reflection fixes the earlier vectors, so it permutes the slot's candidates;
-by Steinberg's theorem these reflections generate the whole stabilizer of
-the fixed vectors in the Weyl group.  The root set is narrowed one fixed
-vector at a time, as the candidates are.  The recursion stops when one slot
-is open, and that slot's candidate count is its only leaf.
+that match it.  Each slot runs over orbit representatives of its candidates,
+each weighted by its orbit size: the count of completions is constant on an
+orbit.  Slot 0 takes the orbits of its shell under the reflections in the
+simple roots, the Weyl group (`shell_orbits`).  It joins x and -x: -1 is the
+longest element of W(E8) and of W(D16) (16 is even), and D16+ has the roots
+of D16.  On a lattice whose Weyl group lacks -1 the orbits are only finer,
+and counts stay exact.  Every later slot takes those under the reflections
+in the simple roots of the roots orthogonal to every vector fixed so far
+(`reflection_orbits`).  Such a reflection fixes the earlier vectors, so it
+permutes the slot's candidates; by Steinberg's theorem these reflections
+generate the whole stabilizer of the fixed vectors in the Weyl group.  The
+root set is narrowed one fixed vector at a time, as the candidates are.  The
+recursion stops when one slot is open, and that slot's candidate count is
+its only leaf.
 
 Exactness: every inner product is an int64 product of one fixed vector with
 int8 candidates, and totals are Python integers.

@@ -48,17 +48,19 @@ def _is_int(val) -> bool:
 
 
 def json_complex(val) -> complex:
-    """A JSON real or an [re, im] pair of reals as a complex number; a bool,
-    a string, a third element or an integer past the float range raises
-    ValueError."""
+    """A JSON real or an [re, im] pair of reals as a finite complex number;
+    a bool, a string, a third element, an integer past the float range, NaN
+    or an infinity (json reads NaN, Infinity and 1e400) raises ValueError."""
     parts = val if isinstance(val, list) else [val, 0]
     if len(parts) == 2 and all(_is_int(v) or isinstance(v, float)
                                for v in parts):
         try:
-            return complex(*parts)
+            z = complex(*parts)
+            if np.isfinite(z):
+                return z
         except OverflowError:
             pass
-    raise ValueError(f"{val!r} is not a real or an [re, im] pair of reals")
+    raise ValueError(f"{val!r} is not a finite real or [re, im] pair")
 
 
 class IncompatibleExpansionError(ValueError):
@@ -379,10 +381,6 @@ class DerivativePolynomial:
             terms[m] = terms.get(m, Fraction(0)) + c
         return DerivativePolynomial(self.g, terms)
 
-    def scale(self, c):
-        return DerivativePolynomial(
-            self.g, {m: Fraction(c) * v for m, v in self.terms.items()})
-
     def __mul__(self, other):
         if self.g != other.g:
             raise ValueError("genus mismatch")
@@ -465,6 +463,15 @@ class LimitReport:
     passed: bool
 
 
+def _limit_deviations(f: FourierExpansion, point: SiegelPoint, path,
+                      precision: int = None):
+    """(Phi F)(tau) at the genus-(g-1) point tau, and |F(p) - (Phi F)(tau)|
+    at each genus-g point p of `path`, both with `evaluate`'s precision."""
+    target = evaluate(siegel_operator(f), point, precision=precision).value
+    return target, [abs(evaluate(f, p, precision=precision).value - target)
+                    for p in path]
+
+
 def siegel_limit_check(f: FourierExpansion, point: SiegelPoint, t_values,
                        tolerance: float = 1e-12,
                        precision: int = None) -> LimitReport:
@@ -472,15 +479,11 @@ def siegel_limit_check(f: FourierExpansion, point: SiegelPoint, t_values,
     Fourier-side Siegel operator."""
     if point.g != f.g - 1:
         raise IncompatibleExpansionError("point genus must be f.g - 1")
-    phi = siegel_operator(f)
-    target = evaluate(phi, point, precision=precision).value
-    devs = []
-    for t in t_values:
-        if t <= 0:
-            raise DomainError("t values must be positive")
-        corner = SiegelPoint.scalar(1, 1j * t)
-        val = evaluate(f, point.direct_sum(corner), precision=precision).value
-        devs.append(abs(val - target))
+    if any(t <= 0 for t in t_values):
+        raise DomainError("t values must be positive")
+    target, devs = _limit_deviations(
+        f, point, [point.direct_sum(SiegelPoint.scalar(1, 1j * t))
+                   for t in t_values], precision)
     passed = bool(devs and float(devs[-1]) <= tolerance)
     return LimitReport(t_values=tuple(t_values),
                        deviations=tuple(float(d) for d in devs),

@@ -19,14 +19,20 @@ import numpy as np
 
 from .expansion import (DerivativePolynomial, DomainError, FourierExpansion,
                         IncompatibleExpansionError, SiegelPoint, _is_int,
-                        _tr_products, apply_derivative, evaluate,
-                        json_complex, siegel_operator)
+                        _limit_deviations, _tr_products, apply_derivative,
+                        evaluate, json_complex, siegel_operator)
 
 TWO_PI_I = 2j * math.pi
 
 # t step of the central difference in derivative_identity_check; one
 # Richardson step also takes it halved
 _DIFFERENCE_STEP = 1e-4
+# t and tolerance of corner_exponential_check, and the t values (toward 0)
+# and relative tolerance of degeneration_limit_check
+_CORNER_T = 1e-3
+_CORNER_TOLERANCE = 1e-9
+_LIMIT_T_VALUES = (1e-3, 1e-4, 1e-5)
+_LIMIT_TOLERANCE = 1e-2
 
 
 def _pair(z: complex):
@@ -273,11 +279,10 @@ def scaling_law_check(f: FourierExpansion, n: DerivativePolynomial,
                  "A_values": [_pair(a) for a in a_values]})
 
 
-def corner_exponential_check(data: DegenerationData, t: complex,
-                             tolerance: float = 1e-9) -> CheckReport:
+def corner_exponential_check(data: DegenerationData) -> CheckReport:
     """exp(2*pi*i T_{g+1,g+1}) must equal t exp(c1) (1 + c2 t) modulo t^2;
     with the first-order corner it equals t exp(c1) exp(c2 t) exactly."""
-    t = complex(t)
+    t = complex(_CORNER_T)
     pm = period_matrix_first_order(data, t)
     lhs = cmath.exp(TWO_PI_I * pm[data.g, data.g])
     gamma1 = cmath.exp(data.c1)
@@ -285,7 +290,7 @@ def corner_exponential_check(data: DegenerationData, t: complex,
     abs_err = abs(lhs - rhs)
     # the omitted t^2 terms bound the allowed discrepancy
     budget = abs(t) ** 2 * max(1.0, abs(gamma1)) \
-        * max(1.0, abs(data.c2)) ** 2 + tolerance
+        * max(1.0, abs(data.c2)) ** 2 + _CORNER_TOLERANCE
     rel = abs_err / max(abs(lhs), abs(rhs), 1e-300)
     return CheckReport(
         name="corner-exponential", passed=abs_err <= budget,
@@ -293,28 +298,21 @@ def corner_exponential_check(data: DegenerationData, t: complex,
         details={"t": _pair(t), "lhs": _pair(lhs), "rhs": _pair(rhs)})
 
 
-def degeneration_limit_check(f_next: FourierExpansion, data: DegenerationData,
-                             t_values=(1e-3, 1e-4, 1e-5),
-                             tolerance: float = 1e-2) -> CheckReport:
+def degeneration_limit_check(f_next: FourierExpansion,
+                             data: DegenerationData) -> CheckReport:
     """The t -> 0+ limit of the genus-(g+1) form f_next at the degenerating
     period matrix must be its Siegel image siegel_operator(f_next) at tau:
     the constant term of the t-expansion survives alone."""
     if f_next.g != data.g + 1:
         raise IncompatibleExpansionError("genus mismatch")
-    target = complex(evaluate(siegel_operator(f_next), data.tau).value)
-    devs = []
-    for t in t_values:
-        if not (isinstance(t, (int, float)) and t > 0):
-            raise DomainError("t values must be positive reals")
-        pm = period_matrix_first_order(data, t)
-        point = SiegelPoint(data.g + 1, tuple(map(tuple, pm)))
-        devs.append(abs(complex(evaluate(f_next, point).value) - target))
-    scale = max(abs(target), 1.0)
-    rel = devs[-1] / scale
+    pms = [period_matrix_first_order(data, t) for t in _LIMIT_T_VALUES]
+    target, devs = _limit_deviations(f_next, data.tau, [
+        SiegelPoint(data.g + 1, tuple(map(tuple, pm))) for pm in pms])
+    rel = devs[-1] / max(abs(target), 1.0)
     return CheckReport(
-        name="degeneration-limit", passed=rel <= tolerance,
-        abs_error=devs[-1], rel_error=rel, tolerance=tolerance,
-        details={"t_values": list(t_values), "deviations": devs,
+        name="degeneration-limit", passed=rel <= _LIMIT_TOLERANCE,
+        abs_error=devs[-1], rel_error=rel, tolerance=_LIMIT_TOLERANCE,
+        details={"t_values": list(_LIMIT_T_VALUES), "deviations": devs,
                  "limit": _pair(target)})
 
 
@@ -331,7 +329,7 @@ def fay_check(data: DegenerationData, f_next: FourierExpansion,
     derivative = derivative_identity_check(f, n, data.tau, data.sigma,
                                            tolerance=derivative_tolerance)
     checks = [
-        corner_exponential_check(data, 1e-3),
+        corner_exponential_check(data),
         derivative,
         scaling_law_check(f, n, data.tau, data.v_a, data.v_b),
         degeneration_limit_check(f_next, data),

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .indices import psd_pivots
+from .indices import InvalidIndexError, psd_pivots, validate_index
 
 
 class LatticeError(ValueError):
@@ -75,19 +75,15 @@ class Lattice:
                          compare=False)
 
     def __post_init__(self):
-        g = self.gram
-        if len(g) != self.rank or any(len(row) != self.rank for row in g):
+        try:
+            g = validate_index(self.gram)
+        except InvalidIndexError as exc:
+            raise LatticeError(f"gram matrix is not even, symmetric and "
+                               f"positive definite: {exc}") from None
+        if len(g) != self.rank:
             raise LatticeError("gram matrix shape does not match rank")
-        for i in range(self.rank):
-            if g[i][i] % 2 != 0:
-                raise LatticeError("gram diagonal must be even")
-            for j in range(i):
-                if g[i][j] != g[j][i]:
-                    raise LatticeError("gram matrix must be symmetric")
-        pivots = psd_pivots(g)
-        if pivots is None:
-            raise LatticeError("gram matrix must be positive definite")
         # no zero pivot and a last pivot (the determinant) of 1
+        pivots = psd_pivots(g)
         if 0 in pivots or pivots[-1] != 1:
             raise LatticeError("gram matrix must be unimodular")
         gram = np.array(g, dtype=np.int64)
@@ -464,12 +460,11 @@ def _simple_roots(gram: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return pos[~lower.any(axis=1)]
 
 
-def reflection_orbits(x: np.ndarray, gram: np.ndarray, roots: np.ndarray,
-                      negate: bool = False):
+def reflection_orbits(x: np.ndarray, gram: np.ndarray, roots: np.ndarray):
     """Orbits of the rows of x under the group generated by the reflections
     y -> y - <y, r> r in the simple roots r of the root system `roots`
-    (`_simple_roots`), and by -1 if `negate`, as (representatives, sizes);
-    a representative is its orbit's first row.
+    (`_simple_roots`), as (representatives, sizes); a representative is its
+    orbit's first row.
 
     Each generator permutes the rows, matched by their exact int16 bytes;
     one that maps a row outside them raises LatticeError.  Labels start as
@@ -490,7 +485,7 @@ def reflection_orbits(x: np.ndarray, gram: np.ndarray, roots: np.ndarray,
                                "themselves")
         return order[at]
 
-    perms = [permutation(-xs)] if negate else []
+    perms = []
     for r in _simple_roots(gram, roots):
         ip = np.einsum("ki,i->k", x, gram @ r).astype(np.int16)
         perms.append(permutation(xs - ip[:, None] * r.astype(np.int16)))
@@ -504,15 +499,15 @@ def reflection_orbits(x: np.ndarray, gram: np.ndarray, roots: np.ndarray,
 
 
 def shell_orbits(lat: Lattice, norm: int):
-    """Orbits of the norm-`norm` shell under -1 and the reflections in the
-    simple roots (`reflection_orbits`), as (representatives, sizes).  Kept
-    in the lattice's store, keyed by norm.
+    """Orbits of the norm-`norm` shell under the reflections in the simple
+    roots (`reflection_orbits`; `counting` says why -1 is no generator), as
+    (representatives, sizes).  Kept in the lattice's store, keyed by norm.
     """
     store = lat._store["orbits"]
     if norm not in store:
         shells = short_vector_shells(lat, max(norm, 2))
         store[norm] = reflection_orbits(shells[norm], lat.gram_array,
-                                        shells[2], negate=True)
+                                        shells[2])
     return store[norm]
 
 

@@ -14,8 +14,6 @@ from .expansion import FourierExpansion
 from .lattices import lattice_by_id
 from .theta import theta_expansion
 
-WEIGHT = 8
-
 
 def schottky_expansion(g: int, max_trace: int,
                        cache=None) -> FourierExpansion:
@@ -47,14 +45,6 @@ def nonzero_report(g: int, max_trace: int, cache=None) -> dict:
     }
 
 
-def _first(g: int, rep: dict):
-    """First nonzero index of a report with its (integer) coefficient."""
-    if not rep["nonzero_indices"]:
-        return None
-    first = rep["nonzero_indices"][0]
-    return idx.from_upper_triangle(g, first["S"]), int(first["a"])
-
-
 def verify_vanishing(g: int, max_trace: int, cache=None) -> dict:
     """Check that every coefficient of the difference vanishes (genus <= 3).
 
@@ -65,24 +55,20 @@ def verify_vanishing(g: int, max_trace: int, cache=None) -> dict:
     if g not in (1, 2, 3):
         raise ValueError("identical vanishing is only claimed for genus 1..3")
     rep = nonzero_report(g, max_trace, cache=cache)
-    first = _first(g, rep)
-    if first is None:
+    if not rep["nonzero_indices"]:
         return {"genus": g, "max_trace": max_trace, "status": "pass",
                 "checked": rep["checked"]}
-    s, v = first
-    return {
-        "genus": g,
-        "max_trace": max_trace,
-        "status": "fail",
-        "checked": idx.index_table(g, max_trace).rows[s] + 1,
-        "counterexample": {
-            "S": idx.upper_triangle(s),
-            "difference": str(v),
-        },
-    }
+    first = rep["nonzero_indices"][0]
+    s = idx.from_upper_triangle(g, first["S"])
+    return {"genus": g, "max_trace": max_trace, "status": "fail",
+            "checked": idx.index_table(g, max_trace).rows[s] + 1,
+            "counterexample": {"S": first["S"], "difference": first["a"]}}
 
 
 def first_nonzero_index(g: int, max_trace: int, cache=None):
     """First index (in enumeration order) with a nonzero difference, with its
     exact coefficient, or None if all coefficients up to max_trace vanish."""
-    return _first(g, nonzero_report(g, max_trace, cache=cache))
+    nonzero = nonzero_report(g, max_trace, cache=cache)["nonzero_indices"]
+    if not nonzero:
+        return None
+    return idx.from_upper_triangle(g, nonzero[0]["S"]), int(nonzero[0]["a"])

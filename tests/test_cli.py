@@ -1,6 +1,8 @@
 """Command-line interface: outputs, exit codes, schema validity."""
 
+import io
 import json
+import sys
 import time
 from datetime import datetime
 
@@ -95,7 +97,7 @@ def test_theta_coeffs_and_schema(capsys):
     assert [e["a"] for e in doc["entries"]] == ["1", "240", "2160"]
 
 
-def test_siegel_phi_subcommand(capsys, tmp_path):
+def test_siegel_phi_subcommand(capsys, tmp_path, monkeypatch):
     code, doc = run(capsys, "theta-coeffs", "--lattice", "E8",
                     "--genus", "2", "--max-trace", "4")
     src = tmp_path / "exp.json"
@@ -105,6 +107,10 @@ def test_siegel_phi_subcommand(capsys, tmp_path):
     assert phi["genus"] == 1
     assert [e["a"] for e in phi["entries"]] == ["1", "240", "2160"]
     jsonschema.validate(phi, load_schema("fourier-expansion.schema.json"))
+    # the same document from standard input
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, piped = run(capsys, "siegel-phi", "--input", "-")
+    assert code == 0 and piped["entries"] == phi["entries"]
 
 
 def test_index_listed_twice_is_an_input_error(capsys, tmp_path):
@@ -227,11 +233,21 @@ def test_fay_check_subcommand(capsys, tmp_path, monkeypatch):
     jsonschema.validate(doc, load_schema("verification-report.schema.json"))
     # one expansion, the genus-2 form; the genus-1 side is its Siegel image
     assert built == [2]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fay-check built an expansion")
+
+    # a bad document is refused as it is read, before any expansion; json
+    # reads NaN, Infinity and 1e400 as floats
+    monkeypatch.setattr(cli, "theta_expansion", forbidden)
     for bad in (dict(data, genus=1.7),
                 {"genus": 2, "tau": [[[0, 1]]], "v_a": [0.1], "v_b": [0.2]},
                 dict(data, tau=[[[0.0, True]]]),
                 dict(data, tau=[[[0.0, "1.3"]]]),
-                dict(data, c2=10 ** 400)):
+                dict(data, c2=10 ** 400),
+                dict(data, c1=float("nan")),
+                dict(data, v_a=[float("inf")]),
+                dict(data, tau=[[[float("nan"), 1.3]]])):
         src.write_text(json.dumps(bad))
         code, doc = run(capsys, "fay-check", "--input", str(src),
                         "--max-trace", "8")
@@ -291,7 +307,8 @@ def test_usage_error_is_machine_readable(capsys, tmp_path):
     assert doc.keys() == {"error"}
     # an entry is a real or an [re, im] pair of reals, nothing else
     for tau in ('[[[0.1, 1.2, 5]]]', '[[["0.1", 1.2]]]', '[[[true, 1.2]]]',
-                '[[[0.1, 1%s]]]' % ("0" * 400)):
+                '[[[0.1, 1%s]]]' % ("0" * 400), '[[NaN]]',
+                '[[[0.1, 1e400]]]'):
         code, doc = run(capsys, "eval", "--lattice", "E8", "--genus", "1",
                         "--tau", tau, "--max-trace", "4")
         assert code == 2 and doc.keys() == {"error"}, tau
@@ -370,6 +387,9 @@ def test_rejected_options_exit_2_with_an_error_document(capsys):
     doc = _error_line(capsys, ["lattice-enum", "--lattice", "E8",
                                "--max-norm", "two"])
     assert "invalid int value" in doc["error"]
+    doc = _error_line(capsys, ["lattice-enum", "--lattice", "E7",
+                               "--max-norm", "2"])
+    assert "unknown lattice id 'E7'" in doc["error"]
 
 
 def test_help_exits_0_with_its_text(capsys):

@@ -99,7 +99,7 @@ def test_period_matrix_constant_block_without_sigma():
 
 
 def test_corner_exponential_relation(data1):
-    rep = corner_exponential_check(data1, 1e-3)
+    rep = corner_exponential_check(data1)
     assert rep.passed
 
 

@@ -140,6 +140,13 @@ def test_lattice_validation_rejects_bad_gram():
         Lattice(name="bad", rank=2, gram=((1, 0), (0, 1)))  # odd diagonal
     with pytest.raises(LatticeError):
         Lattice(name="bad", rank=1, gram=((-2,),))
+    # shape and symmetry are validate_index's checks
+    with pytest.raises(LatticeError, match="matrix must be square"):
+        Lattice(name="bad", rank=2, gram=((2, 1), (1,)))
+    with pytest.raises(LatticeError, match="matrix must be symmetric"):
+        Lattice(name="bad", rank=2, gram=((2, 1), (0, 2)))
+    with pytest.raises(LatticeError, match="does not match rank"):
+        Lattice(name="bad", rank=16, gram=lattices.E8_GRAM)
 
 
 def test_lattice_validation_needs_definite_gram():
@@ -470,7 +477,9 @@ def test_count_only_step_refuses_inexact_sqrt(e8, monkeypatch):
         short_vector_shells(Lattice(e8.name, e8.rank, e8.gram), 2)
 
 
-# orbit sizes under -1 and the reflections in the simple roots, by norm
+# orbit sizes under the reflections in the simple roots, by norm.  They are
+# also the sizes under -1 and the reflections: -1 is the longest element of
+# W(E8) and of W(D16) (16 is even), and D16+ has the roots of D16
 _ORBIT_SIZES = {
     "E8": {2: [240], 4: [2160]},
     "D16plus": {2: [480], 4: [32, 29120, 32768]},
