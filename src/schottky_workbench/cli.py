@@ -26,7 +26,8 @@ from .fay import DegenerationData, fay_check
 from .lattices import UnsupportedLatticeError, lattice_by_id, shell_sizes, \
     short_vector_shells
 from .schottky import nonzero_report, verify_vanishing
-from .theta import default_norm_budget, theta_eval, theta_expansion
+from .theta import check_norm_budget, default_norm_budget, theta_eval, \
+    theta_expansion
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -134,6 +135,7 @@ def cmd_eval(args, cache) -> tuple:
     point = parse_tau(args.tau, args.genus)
     budget = args.budget if args.budget is not None \
         else default_norm_budget(args.max_trace)
+    check_norm_budget(budget)
     f = theta_expansion(lat, args.genus, args.max_trace, cache=cache)
     from_series = evaluate(f, point)
     direct = theta_eval(lat, args.genus, point, budget)

@@ -168,13 +168,56 @@ def enumerate_indices(g: int, max_trace: int) -> tuple:
     return tuple(out)
 
 
+def orbit_labels(rows: np.ndarray, images) -> np.ndarray:
+    """Each row's orbit label under a group generated by involutions: the
+    least index of a row in its orbit.
+
+    `rows` is a C-contiguous 2-d array of distinct rows, and `images` yields,
+    one generator at a time, the array of the rows' images under it, of the
+    rows' shape and dtype.  An image is matched to a row by its exact bytes;
+    one outside the rows raises ValueError.  One image is held at a time,
+    and only each generator's permutation of the row indices is kept.
+    Labels start as row indices and take the least label over each
+    generator's images, with pointer jumping, until they are stable.  The
+    generators are involutions, so each orbit's label is then its least
+    index.
+    """
+    keys = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
+    order = np.argsort(keys)
+
+    def permutation(image):
+        image = np.ascontiguousarray(image).view(keys.dtype).ravel()
+        at = np.searchsorted(keys, image, sorter=order)
+        if not (keys[order].take(at, mode="clip") == image).all():
+            raise ValueError("generator does not map the rows onto themselves")
+        return order[at]
+
+    # map keeps no image once its permutation is made
+    perms = list(map(permutation, images))
+    labels, last = np.arange(len(rows)), None
+    while last is None or (labels != last).any():
+        last = labels
+        for perm in perms:
+            labels = np.minimum(labels, labels[perm])
+        labels = labels[labels]
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class IndexTable:
     """enumerate_indices(g, max_trace) as `keys`, a read-only K x g x g int64
     array `mats`, a key -> row map `rows` and, built on first use, each row's
     class: class_keys[classes[r]] == canonical_signed_perm(keys[r]), classes
     numbered by first row.  Every key in `rows` is valid, and a smaller
-    trace's table and classes are prefixes of a larger one's."""
+    trace's table and classes are prefixes of a larger one's.
+
+    The classes are the orbits of the signed slot permutations, which the
+    sign flip of slot 0 and the g - 1 adjacent slot swaps generate
+    (`orbit_labels`).  The table is closed under them and sorted by (trace,
+    diagonal, upper triangle), and `canonical_signed_perm` minimizes
+    (diagonal, upper triangle) over an orbit, inside one trace: so each
+    orbit's first row is the canonical key of every row in it, and no row
+    is canonicalized here."""
 
     keys: tuple
     mats: np.ndarray
@@ -184,10 +227,20 @@ class IndexTable:
 
     @cached_property
     def _classes(self) -> tuple:
-        first = {}
-        column = tuple(first.setdefault(canonical_signed_perm(s), len(first))
-                       for s in self.keys)
-        return tuple(first), column
+        k, g = self.mats.shape[:2]
+        flat = self.mats.reshape(k, g * g)
+        sign = np.where(np.arange(g) == 0, -1, 1)
+
+        def images():
+            yield flat * np.multiply.outer(sign, sign).ravel()
+            for p in range(g - 1):
+                s = np.r_[:p, p + 1, p, p + 2:g]      # swaps slots p, p + 1
+                yield flat[:, (g * s[:, None] + s).ravel()]
+
+        labels = orbit_labels(flat, images())
+        first = np.flatnonzero(labels == np.arange(k))
+        return (tuple(self.keys[r] for r in first),
+                tuple(np.searchsorted(first, labels).tolist()))
 
 
 @lru_cache(maxsize=None)

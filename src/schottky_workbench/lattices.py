@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .indices import InvalidIndexError, psd_pivots, validate_index
+from .indices import InvalidIndexError, orbit_labels, psd_pivots, \
+    validate_index
 
 
 class LatticeError(ValueError):
@@ -466,35 +467,16 @@ def reflection_orbits(x: np.ndarray, gram: np.ndarray, roots: np.ndarray):
     (`_simple_roots`), as (representatives, sizes); a representative is its
     orbit's first row.
 
-    Each generator permutes the rows, matched by their exact int16 bytes;
-    one that maps a row outside them raises LatticeError.  Labels start as
-    row indices and take the least label over each generator's images,
-    with pointer jumping, until they are stable.  The generators are
-    involutions, so each orbit's label is then its least index.
+    The rows are matched by their exact int16 bytes (`orbit_labels`); a
+    reflection that maps a row outside them raises LatticeError.
     """
     xs = x.astype(np.int16)
-    row = np.dtype((np.void, 2 * x.shape[1]))    # one exact key per row
-    keys = xs.view(row).ravel()
-    order = np.argsort(keys)
-
-    def permutation(image):
-        image = image.view(row).ravel()
-        at = np.searchsorted(keys, image, sorter=order)
-        if not (keys[order].take(at, mode="clip") == image).all():
-            raise LatticeError("a generator does not map the rows onto "
-                               "themselves")
-        return order[at]
-
-    perms = []
-    for r in _simple_roots(gram, roots):
-        ip = np.einsum("ki,i->k", x, gram @ r).astype(np.int16)
-        perms.append(permutation(xs - ip[:, None] * r.astype(np.int16)))
-    labels, last = np.arange(len(x)), None
-    while last is None or (labels != last).any():
-        last = labels
-        for perm in perms:
-            labels = np.minimum(labels, labels[perm])
-        labels = labels[labels]
+    images = (xs - np.einsum("ki,i->k", x, gram @ r).astype(np.int16)[:, None]
+              * r.astype(np.int16) for r in _simple_roots(gram, roots))
+    try:
+        labels = orbit_labels(xs, images)
+    except ValueError as exc:
+        raise LatticeError(str(exc)) from None
     return np.unique(labels, return_counts=True)
 
 

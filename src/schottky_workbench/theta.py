@@ -38,6 +38,13 @@ def default_norm_budget(max_trace: int) -> int:
     return 2 * max_trace + 4
 
 
+def check_norm_budget(norm_budget: int):
+    """Raise ValueError unless norm_budget is a non-negative even integer;
+    `eval` checks its budget before it counts anything."""
+    if norm_budget < 0 or norm_budget % 2 != 0:
+        raise ValueError("norm_budget must be a non-negative even integer")
+
+
 # entry budget of one inner-product block; its float64 and integer
 # temporaries stay at 256 KiB each (512 KiB complex weights for genus >= 3)
 _BLOCK_ENTRIES = 1 << 15
@@ -107,8 +114,7 @@ def theta_eval(lat: Lattice, g: int, point: SiegelPoint,
     """
     if point.g != g:
         raise IncompatibleExpansionError("point genus mismatch")
-    if norm_budget < 0 or norm_budget % 2 != 0:
-        raise ValueError("norm_budget must be a non-negative even integer")
+    check_norm_budget(norm_budget)
     tau = point.matrix
     pii = 1j * math.pi
     if g == 1:

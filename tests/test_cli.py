@@ -213,6 +213,17 @@ def test_eval_two_paths(capsys):
     jsonschema.validate(doc, load_schema("verification-report.schema.json"))
 
 
+def test_eval_refuses_a_bad_budget_before_counting(capsys, tmp_path):
+    for budget in ("5", "-2"):
+        path = tmp_path / f"budget{budget}.jsonl"
+        code, doc = run(capsys, "eval", "--lattice", "E8", "--genus", "2",
+                        "--max-trace", "6", "--budget", budget, "--tau",
+                        "1.2i", "--cache", str(path))
+        assert code == 2 and doc.keys() == {"error"}, doc
+        assert "norm_budget" in doc["error"]
+        assert not path.exists()
+
+
 def test_fay_check_subcommand(capsys, tmp_path, monkeypatch):
     data = {"genus": 1, "tau": [[[0.0, 1.3]]], "v_a": [0.1], "v_b": [0.2],
             "aj": [0.3], "c1": 0.2, "c2": 0.1}

@@ -45,7 +45,8 @@ def test_tables_are_prefixes_and_phi_is_a_row_mask(g):
             assert minors == idx.index_table(g - 1, top).keys
 
 
-@pytest.mark.parametrize("g,top", [(1, 8), (2, 8), (3, 8), (4, 8), (5, 6)])
+@pytest.mark.parametrize("g,top", [(1, 8), (2, 8), (3, 8), (4, 8), (5, 6),
+                                   (4, 10), (5, 8)])
 def test_class_column_holds_each_rows_canonical_key(g, top):
     full = idx.index_table(g, top)
     assert len(set(full.class_keys)) == len(full.class_keys)
@@ -56,6 +57,20 @@ def test_class_column_holds_each_rows_canonical_key(g, top):
                 idx.canonical_signed_perm(s)
         assert table.classes == full.classes[:len(table.keys)]
         assert table.class_keys == full.class_keys[:len(table.class_keys)]
+
+
+def test_classes_canonicalize_no_row(monkeypatch):
+    """A fresh table finds its classes by orbit labels alone: each orbit's
+    first row already is its canonical key."""
+    def forbidden(entries):
+        raise AssertionError("a table row was canonicalized")
+
+    want = idx.index_table(4, 8)
+    monkeypatch.setattr(idx, "canonical_signed_perm", forbidden)
+    fresh = idx.index_table.__wrapped__(4, 8)
+    assert fresh is not want
+    assert fresh.class_keys == want.class_keys
+    assert fresh.classes == want.classes
 
 
 def test_class_counts():

@@ -135,6 +135,17 @@ def test_canonical_signed_perm_invariance():
         assert diag == sorted(diag)
 
 
+def test_orbit_labels_are_least_indices():
+    rows = np.array([[0, 1], [1, 0], [2, 2], [1, 2], [2, 1]], dtype=np.int64)
+    labels = idx.orbit_labels(rows, iter([rows[:, ::-1]]))
+    assert labels.tolist() == [0, 0, 2, 3, 3]
+    assert idx.orbit_labels(rows, iter(())).tolist() == [0, 1, 2, 3, 4]
+    # an image outside the rows raises, wherever it falls in the sort
+    for image in (rows + 1, rows - 3, np.flipud(rows) * 2):
+        with pytest.raises(ValueError, match="onto themselves"):
+            idx.orbit_labels(rows, iter([rows[:, ::-1], image]))
+
+
 def test_even_diagonal_and_trace_bounds():
     for s in idx.enumerate_indices(2, 6):
         assert idx.trace(s) <= 6
