@@ -88,23 +88,26 @@ def _ip_histogram(xs: np.ndarray, ys: np.ndarray, gram: np.ndarray,
 
 def theta_eval(lat: Lattice, g: int, point: SiegelPoint,
                norm_budget: int) -> EvalResult:
-    """Direct theta sum over tuples (x_1..x_g) with total norm <= budget.
+    """Direct theta sum over tuples (x_1..x_g) with total norm <= budget B.
 
     Independent numerical oracle: it sums over actual lattice vectors from
-    the shell walk and never consults representation counts, pair
-    histograms or stored expansions.  Genus 1 is a closed sum over shell
-    sizes, counted by the count-only walk lattices._shell_counts, which
-    builds no shell; they are not read from lattices.shell_sizes: that
+    the shell walk and never consults representation counts or stored
+    expansions.  The shell sizes N(m), m <= B, come from the count-only
+    walk lattices._shell_counts, not from lattices.shell_sizes: that
     modular form serves the series side, and the direct path stays
-    independent of it.  From genus 2 on, the vectors come from
-    short_vector_shells: the first g - 2 slots are walked
-    vector by vector and the last two are summed per pair of shell norms
-    (m1, m2) in one blockwise operation: the integer inner products <x, y>
-    of a block of the norm-m1 shell against the whole norm-m2 shell are
-    binned (weighted, from genus 3, by the phases the earlier slots give
-    each row and column) and the bins are dotted with the phase table
-    exp(2 pi i tau t), |t| <= isqrt(m1 m2).  A pair with a norm-0 shell is a
-    product of two row sums.
+    independent of it.  Genus 1 is a closed sum over these sizes and
+    builds no shell.  From genus 2 on, the vectors come from
+    short_vector_shells, built to norm B - 2 only: a vector of norm B fits
+    only in a tuple whose other slots are zero, so the top shell enters by
+    its size.  The first g - 2 slots are walked vector by vector and the
+    last two are summed per pair of shell norms (m1, m2) in one blockwise
+    operation: the integer inner products <x, y> of a block of the norm-m1
+    shell against the whole norm-m2 shell are binned (weighted, from genus
+    3, by the phases the earlier slots give each row and column) and the
+    bins are dotted with the phase table exp(2 pi i tau t),
+    |t| <= isqrt(m1 m2).  An unweighted histogram walks half of the longer
+    shell and mirrors it (_pair_histogram).  A pair with a norm-0 shell is
+    a product of two row sums.
 
     Memory: a block holds at most _BLOCK_ENTRIES = 2**15 pairs, so its
     temporaries stay under 1 MB beside the shells.  Exactness: the inner
@@ -117,17 +120,15 @@ def theta_eval(lat: Lattice, g: int, point: SiegelPoint,
     check_norm_budget(norm_budget)
     tau = point.matrix
     pii = 1j * math.pi
+    sizes = _shell_counts(lat.gram_array, norm_budget)
+    norms = sorted(sizes)
     if g == 1:
-        sizes = _shell_counts(lat.gram_array, norm_budget)
-        norms = sorted(sizes)
         total = 0j
         for m in norms:
             total += sizes[m] * np.exp(pii * m * complex(tau[0, 0]))
     else:
-        shells = short_vector_shells(lat, norm_budget)
-        sizes = {m: len(v) for m, v in shells.items()}
-        norms = sorted(shells)
-        total = _last_two_slots(shells, norms, lat.gram_array, tau,
+        shells = short_vector_shells(lat, max(norm_budget - 2, 0))
+        total = _last_two_slots(shells, sizes, lat.gram_array, tau,
                                 norm_budget)
 
     # tuples of total norm exactly norm_budget, by norm composition
@@ -145,14 +146,40 @@ def theta_eval(lat: Lattice, g: int, point: SiegelPoint,
     return EvalResult(value=complex(total), tail_estimate=tail)
 
 
-def _last_two_slots(shells, norms, gram, tau, norm_budget) -> complex:
+def _pair_histogram(xs: np.ndarray, ys: np.ndarray, gram: np.ndarray,
+                    bound: int, u=None, w=None) -> np.ndarray:
+    """_ip_histogram of two nonzero shells, blocked over the longer one.
+
+    <x, y> is symmetric, so the longer shell takes the rows, which makes the
+    fuller blocks.  Unweighted, the rows are the second half of that shell
+    alone: a shell is closed under negation and its second half holds
+    exactly one of x and -x (lattices._shells), and <-x, y> = -<x, y>, so
+    the full histogram is h + h[::-1], exactly.  Weighted sums (genus >= 3)
+    keep the whole shell, since there u(-x) = 1 / u(x), not u(x).
+    """
+    if len(xs) < len(ys):
+        xs, ys, u, w = ys, xs, w, u
+    if u is not None:
+        return _ip_histogram(xs, ys, gram, bound, u, w)
+    hist = _ip_histogram(xs[len(xs) // 2:], ys, gram, bound)
+    return hist + hist[::-1]
+
+
+def _last_two_slots(shells, sizes, gram, tau, norm_budget) -> complex:
     """The genus >= 2 direct sum: a depth-first walk over the first g - 2
     slots, each leaf a blockwise pair sum over the last two (see theta_eval).
+
+    `shells` holds the vectors to norm max(B - 2, 0), B = norm_budget, and
+    `sizes` the size N(m) of every shell to norm B.  A slot takes norm B
+    only when every other slot holds the zero vector, where its phase
+    weights are 1 and it pairs only with norm 0: the walk adds
+    N(B) exp(phase + pi i B tau_ll) for it, and the pair sums read N(B).
     """
     g = len(tau)
     a, b = g - 2, g - 1
     pii = 1j * math.pi
     half = norm_budget // 2
+    norms = sorted(sizes)
     table = np.exp(2 * pii * complex(tau[a, b]) * np.arange(-half, half + 1))
 
     def pair_sum(m1, m2, u, w):
@@ -160,21 +187,19 @@ def _last_two_slots(shells, norms, gram, tau, norm_budget) -> complex:
         y in shell m2; u = w = None means unit weights."""
         if m1 == 0 or m2 == 0:
             # every inner product is 0: a product of two row sums
-            return ((len(shells[m1]) if u is None else u.sum())
-                    * (len(shells[m2]) if w is None else w.sum()))
-        if len(shells[m1]) < len(shells[m2]):
-            # <x, y> is symmetric; the longer shell makes the fuller blocks
-            m1, m2, u, w = m2, m1, w, u
+            return ((sizes[m1] if u is None else u.sum())
+                    * (sizes[m2] if w is None else w.sum()))
         bound = math.isqrt(m1 * m2)
-        hist = _ip_histogram(shells[m1], shells[m2], gram, bound, u, w)
+        hist = _pair_histogram(shells[m1], shells[m2], gram, bound, u, w)
         return hist @ table[half - bound : half + bound + 1]
 
     def slot_weights(p, chosen, rest):
-        """exp(2 pi i sum_j tau_jp <x_j, x>) over each shell of norm <= rest,
-        for the chosen prefix vectors x_j (given as G x_j); none at genus 2."""
+        """exp(2 pi i sum_j tau_jp <x_j, x>) over each shell of norm <= rest
+        but the top one (weights 1), for the chosen prefix vectors x_j
+        (given as G x_j); none at genus 2."""
         out = {}
         for m in norms:
-            if m > rest or not chosen:
+            if m > rest or m == norm_budget or not chosen:
                 break
             vecs = shells[m].astype(np.float64)
             expo = np.zeros(len(vecs), dtype=complex)
@@ -203,12 +228,17 @@ def _last_two_slots(shells, norms, gram, tau, norm_budget) -> complex:
         for m in norms:
             if used + m > norm_budget:
                 break
+            ph = phase + pii * m * complex(tau[level, level])
+            if m == norm_budget:
+                # used == 0: every other slot is zero, every cross term 0
+                total += sizes[m] * np.exp(ph)
+                continue
             for row in shells[m]:
                 x = row.astype(np.int64)
-                ph = phase + pii * m * complex(tau[level, level])
+                phx = ph
                 for j, gx in enumerate(chosen):
-                    ph += 2 * pii * complex(tau[j, level]) * int(gx @ x)
-                total += walk(level + 1, used + m, ph, chosen + [gram @ x])
+                    phx += 2 * pii * complex(tau[j, level]) * int(gx @ x)
+                total += walk(level + 1, used + m, phx, chosen + [gram @ x])
         return total
 
     return walk(0, 0, 0j, [])

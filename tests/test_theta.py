@@ -92,6 +92,7 @@ def _assert_matches_reference(lat, g, budget):
 @pytest.mark.parametrize("name, g, budget", [
     ("e8", 1, 4), ("e8", 2, 4), ("e8", 3, 4), ("e8", 2, 6), ("d16", 2, 4),
     ("e8", 4, 2),       # two prefix slots: the walk's phase sum over them
+    ("d16", 3, 4),      # the top shell's 61920 terms as one product
 ])
 def test_theta_eval_matches_per_vector_reference(name, g, budget, request):
     _assert_matches_reference(request.getfixturevalue(name), g, budget)
@@ -128,25 +129,51 @@ def test_theta_eval_never_calls_counting(e8, monkeypatch):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("name, budget", [("e8", 8), ("d16", 4)])
-def test_genus1_eval_builds_no_shell(name, budget, request, monkeypatch):
-    # genus 1 reads its sizes from the count-only walk: neither the shells
-    # nor the modular form of lattices.shell_sizes
+@pytest.mark.parametrize("name, g, budget", [
+    ("e8", 1, 8), ("d16", 1, 4), ("e8", 2, 0), ("e8", 2, 2), ("e8", 2, 6),
+    ("d16", 2, 4), ("e8", 3, 0), ("e8", 3, 2), ("e8", 3, 4), ("d16", 3, 2),
+])
+def test_eval_builds_no_shell_past_budget_minus_two(name, g, budget,
+                                                     request, monkeypatch):
+    # the sizes come from the count-only walk, not from the modular form of
+    # lattices.shell_sizes; genus 1 builds no shell, and from genus 2 on the
+    # top shell (norm = budget) enters by its size alone
     named = request.getfixturevalue(name)
     lat = Lattice(named.name, named.rank, named.gram)   # an empty store
-    want, tail = _theta_eval_reference(named, 1, TAU[1], budget)
+    want, tail = _theta_eval_reference(named, g, TAU[g], budget)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("genus-1 theta_eval built shells or read the "
-                             "modular form")
+        raise AssertionError("theta_eval read the modular form or built "
+                             "genus-1 shells")
 
-    monkeypatch.setattr(theta, "short_vector_shells", forbidden)
-    monkeypatch.setattr(lattices, "short_vector_shells", forbidden)
     monkeypatch.setattr(lattices, "shell_sizes", forbidden)
-    got = theta_eval(lat, 1, TAU[1], budget)
+    if g == 1:
+        monkeypatch.setattr(theta, "short_vector_shells", forbidden)
+        monkeypatch.setattr(lattices, "short_vector_shells", forbidden)
+    got = theta_eval(lat, g, TAU[g], budget)
     assert abs(got.value - want) <= 1e-12 * abs(want)
     assert got.tail_estimate == tail
-    assert lat._store["shells"] == {}
+    assert max(lat._store["shells"], default=0) <= max(budget - 2, 0)
+    assert g > 1 or lat._store["shells"] == {}
+
+
+@pytest.mark.parametrize("name, m1, m2, block", [
+    ("e8", 4, 2, None), ("d16", 2, 2, None), ("e8", 2, 4, None),
+    ("e8", 4, 4, 1000),     # 4 rows of a 2160-column shell per block
+])
+def test_pair_histogram_mirrors_half_a_shell(name, m1, m2, block, request,
+                                             monkeypatch):
+    # (2, 4): the shorter shell comes first, so the shells swap roles
+    if block is not None:
+        monkeypatch.setattr(theta, "_BLOCK_ENTRIES", block)
+    lat = request.getfixturevalue(name)
+    shells = short_vector_shells(lat, max(m1, m2))
+    bound = math.isqrt(m1 * m2)
+    full = theta._ip_histogram(shells[m1], shells[m2], lat.gram_array, bound)
+    got = theta._pair_histogram(shells[m1], shells[m2], lat.gram_array,
+                                bound)
+    assert got.dtype == full.dtype and np.array_equal(got, full)
+    assert full.sum() == len(shells[m1]) * len(shells[m2])
 
 
 def test_genus1_coefficients(e8, d16):
