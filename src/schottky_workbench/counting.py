@@ -21,8 +21,16 @@ root set is narrowed one fixed vector at a time, as the candidates are.  The
 recursion stops when one slot is open, and that slot's candidate count is
 its only leaf.
 
+A genus-2 target with norms n0 < m builds no norm-m shell: its count is
+sum_r w_r #{y : |y|^2 = m, <y, x_r> = a} over the slot-0 representatives
+x_r.  One count-only walk at norm m tags each walked vector with its inner
+product against every x_r and bins the tags (`lattices.tag_histograms`);
+the lattice's store keeps the histograms, so the walk answers every a.
+Genus 2 with equal norms and every genus >= 3 target narrow built shells.
+
 Exactness: every inner product is an int64 product of one fixed vector with
-int8 candidates, and totals are Python integers.
+int8 candidates, or an int64 tag summed along the walk (bounded in
+`lattices._tag_histograms`), and totals are Python integers.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import numpy as np
 from . import indices as idx
 from .cache import CountCache, index_key
 from .lattices import (Lattice, reflection_orbits, shell_orbits, shell_sizes,
-                       short_vector_shells)
+                       short_vector_shells, tag_histograms)
 
 
 class CountEngine:
@@ -89,8 +97,13 @@ class CountEngine:
     def _count_dfs(self, s) -> int:
         """Fix x_0, x_1, ... one orbit representative at a time, each
         weighted by its orbit size, until one slot is open, and count its
-        candidates."""
+        candidates.  A genus-2 target with two norms n0 < m reads its one
+        leaf from the tag histograms of the norm-n0 representatives
+        (`_pair_count`); genus 2 with equal norms and every genus >= 3
+        target narrow built shells."""
         norms = [s[p][p] for p in range(len(s))]
+        if len(s) == 2 and norms[0] != norms[1]:
+            return self._pair_count(min(norms), s[0][1], max(norms))
         shells = short_vector_shells(self.lattice, max(norms))
         gram = self.lattice.gram_array
 
@@ -114,3 +127,16 @@ class CountEngine:
         return sum(int(w) * rec(0, shells[norms[0]][r],
                                 [shells[n] for n in norms[1:]], shells[2])
                    for r, w in zip(reps, sizes))
+
+    def _pair_count(self, n0, a, m) -> int:
+        """#{(x, y) : |x|^2 = n0, <x, y> = a, |y|^2 = m}, n0 < m, as
+        sum_r w_r #{y : |y|^2 = m, <y, x_r> = a} over the slot-0 orbit
+        representatives x_r and their orbit sizes w_r.  The second factor
+        is read from `tag_histograms`, one count-only walk at norm m per
+        set of representatives that answers every a; the norm-m shell is
+        never built, and the shells only to norm n0."""
+        reps, sizes = shell_orbits(self.lattice, n0)
+        fixed = short_vector_shells(self.lattice, n0)[n0][reps]
+        hist = tag_histograms(self.lattice, fixed, n0, m)
+        column = hist[:, a + hist.shape[1] // 2]
+        return sum(int(w) * int(c) for w, c in zip(sizes, column))

@@ -8,6 +8,8 @@ integer coordinate tuple in the corresponding basis.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -62,11 +64,12 @@ class Lattice:
 
     Each instance owns one private store of the data derived from its Gram
     matrix: the int64 Gram array (`gram_array`, built once, read-only), the
-    one shell run of `short_vector_shells`, and the orbit representatives
-    and sizes of `shell_orbits` (keyed by norm).  The store takes no part
-    in equality or hashing, and two instances with equal Gram matrices do
-    not share it; `lattice_by_id` returns one instance per name, so its
-    callers do.
+    one shell run of `short_vector_shells`, the orbit representatives and
+    sizes of `shell_orbits` (keyed by norm), and the histograms of
+    `tag_histograms` (keyed by norms and fixed vectors).  The store takes
+    no part in equality or hashing, and two instances with equal Gram
+    matrices do not share it; `lattice_by_id` returns one instance per
+    name, so its callers do.
     """
 
     name: str
@@ -89,7 +92,7 @@ class Lattice:
             raise LatticeError("gram matrix must be unimodular")
         gram = np.array(g, dtype=np.int64)
         gram.flags.writeable = False
-        self._store.update(gram=gram, shells={}, orbits={})
+        self._store.update(gram=gram, shells={}, orbits={}, tags={})
 
     @property
     def gram_array(self) -> np.ndarray:
@@ -150,6 +153,12 @@ def _expand(lo: np.ndarray, hi: np.ndarray):
 # block's exact state and trail (parent row, new coordinate), not its
 # coordinates, so the walk's memory does not grow with the number of vectors
 _WALK_ROWS = 1 << 12
+
+# entry budget of one block: of int64 tags in `_tag_histograms`, and of
+# inner products in the direct sum's pair histograms, whose float64 and
+# integer temporaries stay at 256 KiB each (512 KiB complex weights for
+# genus >= 3)
+_BLOCK_ENTRIES = 1 << 15
 
 
 def _prefix_walk(gram: np.ndarray, max_norm: int):
@@ -249,24 +258,21 @@ def _prefix_walk(gram: np.ndarray, max_norm: int):
                        np.zeros((1, 0), dtype=np.int64), np.zeros(1))
 
 
-def _vectors(gram: np.ndarray, max_norm: int, coords: bool):
+def _vectors(gram: np.ndarray, max_norm: int):
     """Blocks of every lexicographically positive x (first nonzero
-    coordinate > 0) with x^T G x <= max_norm, in lexicographic order:
-    (int8 coordinates, None unless `coords`; exact int64 norms).
+    coordinate > 0) with x^T G x <= max_norm, in lexicographic order, with
+    no coordinates built: (trail, rep, xi, norms), the block's trail from
+    `_prefix_walk` and, per vector, its prefix row, its int64 last
+    coordinate and its exact int64 norm.
 
     Every other vector of the ellipsoid is 0 or the negation of one of
     these, and G is positive definite, so only 0 has norm 0.
     `_prefix_walk` fills every coordinate but the last, x, which ranges
     over the exact integer interval of a x^2 + 2 h x + q <= max_norm
     (a = G_ll) with ends from `_isqrt`, so no norm needs a filter; on
-    the zero prefix (q = 0) it starts at 1.  With `coords`, the
-    coordinates of a block's prefixes are rebuilt once, by following the
-    walk's trail back to the root, and each vector takes its prefix's row.
-    Memory is the walk's bounded state plus one block.  A coordinate with
-    |x| > 32767 (in the walk) or, with `coords`, |x| > 127 in any column of
-    a finished block raises LatticeError, so negating a block never wraps;
-    the full ellipsoid is symmetric, so it reaches -128 exactly when it
-    reaches 128.  A discriminant at or above 2**52 raises ArithmeticError.
+    the zero prefix (q = 0) it starts at 1.  Memory is the walk's bounded
+    state plus one block.  A coordinate with |x| > 32767 raises
+    LatticeError, and a discriminant at or above 2**52 ArithmeticError.
     """
     gram = np.asarray(gram, dtype=np.int64)
     n = gram.shape[0]
@@ -278,25 +284,35 @@ def _vectors(gram: np.ndarray, max_norm: int, coords: bool):
         lo[q == 0] = 1
         hi = np.where(disc >= 0, (r - h) // a, lo - 1)
         rep, xi = _expand(lo, hi)
-        xs = None
-        if coords:
-            # the prefixes' coordinates, followed back along the trail
-            prefixes = np.zeros((len(q), n), dtype=np.int16)
-            row = np.arange(len(q))
-            for j in range(n - 2, -1, -1):
-                parent, x = trail[j]
-                prefixes[:, j] = x[row]
-                row = parent[row]
-            # the guard reads what the vectors hold: the prefixes with a
-            # nonempty last interval (on E8, E8 + E8 and D16+, all of them),
-            # and the last coordinates
-            used = hi >= lo
-            for v in (prefixes if used.all() else prefixes[used], xi):
-                if v.size and (v.min() < -127 or v.max() > 127):
-                    raise LatticeError("coordinates exceed int8 range")
-            xs = prefixes.astype(np.int8)[rep]
-            xs[:, n - 1] = xi
-        yield xs, q[rep] + xi * (a * xi + 2 * h[rep])
+        yield trail, rep, xi, q[rep] + xi * (a * xi + 2 * h[rep])
+
+
+def _prefix_columns(trail):
+    """(j, int16 x_j of every prefix of a block) for j = n - 2 down to 0:
+    the prefixes' coordinates, followed back along the walk's trail once."""
+    row = slice(None)
+    for j in range(len(trail) - 1, -1, -1):
+        parent, x = trail[j]
+        yield j, x[row]
+        row = parent[row]
+
+
+def _coords(trail, rep, xi) -> np.ndarray:
+    """The int8 coordinates of a block of `_vectors`: each vector takes
+    its prefix's coordinates (`_prefix_columns`) and its last coordinate.
+
+    The guard reads what the vectors hold: |x| > 127 in any of their
+    coordinates raises LatticeError, so negating a block never wraps; the
+    full ellipsoid is symmetric, so it reaches -128 exactly when it
+    reaches 128.
+    """
+    xs = np.empty((len(rep), len(trail) + 1), dtype=np.int8)
+    cols = ((j, x[rep]) for j, x in _prefix_columns(trail))
+    for j, v in itertools.chain(cols, [(len(trail), xi)]):
+        if v.size and (v.min() < -127 or v.max() > 127):
+            raise LatticeError("coordinates exceed int8 range")
+        xs[:, j] = v
+    return xs
 
 
 def _shells(gram: np.ndarray, max_norm: int) -> dict:
@@ -309,7 +325,8 @@ def _shells(gram: np.ndarray, max_norm: int) -> dict:
     """
     n = len(gram)
     parts = {}  # per norm from the first block: too big a bound raises first
-    for xs, norms in _vectors(gram, max_norm, coords=True):
+    for trail, rep, xi, norms in _vectors(gram, max_norm):
+        xs = _coords(trail, rep, xi)
         for m in range(2, max_norm + 1, 2):
             parts.setdefault(m, []).append(xs[norms == m])
     shells = {0: np.zeros((1, n), dtype=np.int8)}
@@ -333,9 +350,61 @@ def _shell_counts(gram: np.ndarray, max_norm: int) -> dict:
     bincount, and norm 0 has the zero vector alone.
     """
     counts = 0      # an array from the first block on (see `_shells`)
-    for _, norms in _vectors(gram, max_norm, coords=False):
+    for *_, norms in _vectors(gram, max_norm):
         counts = counts + np.bincount(norms // 2, minlength=max_norm // 2 + 1)
     return {2 * k: 2 * int(c) if k else 1 for k, c in enumerate(counts)}
+
+
+def _tag_histograms(gram: np.ndarray, fixed: np.ndarray, norm: int,
+                    m: int) -> np.ndarray:
+    """Per row x_r of `fixed`, the histogram of the tags <y, x_r> over the
+    vectors y of norm m, from one count-only walk: int64 entry [r, t + b]
+    is #{y : y^T G y = m, <y, x_r> = t}, |t| <= b = isqrt(m * norm).
+
+    A tag is linear in y.  For each block of `_vectors`, x_j (G x_r)_j is
+    summed along the trail (`_prefix_columns`) into one int64 per prefix
+    and row, and x_{n-1} (G x_r)_{n-1} is added for each last coordinate;
+    only the vectors of norm exactly m are kept and bincounted, and no
+    coordinate array is formed.  The walk yields one of y and -y, and
+    <-y, x> = -<y, x>, so each full row is h + h[::-1].  The rows of
+    `fixed` go in chunks whose tags over one block's vectors stay within
+    _BLOCK_ENTRIES entries, all in the same walk.
+
+    Exactness: the walk's coordinates are at most 32767 in absolute value,
+    so every partial tag is at most n * 32767 * max|G x_r| in absolute
+    value, far below 2**63 on E8, D16+ and E8 + E8; a Gram matrix and
+    fixed vectors for which the bound reaches 2**63 raise ArithmeticError
+    before the walk.  When every x_r has norm `norm`, Cauchy-Schwarz
+    bounds each final tag by b; a tag outside [-b, b] (a fixed vector
+    longer than `norm`) raises ArithmeticError before it is binned.
+    """
+    n = len(gram)
+    b = math.isqrt(m * norm)
+    width = 2 * b + 1
+    gx = gram @ fixed.T.astype(np.int64)
+    if gx.size and n * 32767 * int(np.abs(gx).max()) >= 1 << 63:
+        raise ArithmeticError("a partial tag could reach 2**63")
+    hist = np.zeros((len(fixed), width), dtype=np.int64)
+    for trail, rep, xi, norms in _vectors(gram, m):
+        step = max(1, _BLOCK_ENTRIES // max(len(rep), 1))
+        top = norms == m
+        rep, xi = rep[top], xi[top]
+        if not len(rep):
+            continue
+        for c in range(0, len(fixed), step):
+            g = gx[:, c : c + step]
+            pre = np.zeros((1, g.shape[1]), dtype=np.int64)
+            for j, x in _prefix_columns(trail):
+                pre = pre + x[:, None] * g[j]
+            tags = pre[rep] + xi[:, None] * g[n - 1]
+            if tags.min() < -b or tags.max() > b:
+                raise ArithmeticError(
+                    f"a tag outside [-{b}, {b}]: a fixed vector is longer "
+                    f"than norm {norm}")
+            tags += b + width * np.arange(g.shape[1])
+            hist[c : c + step] += np.bincount(
+                tags.ravel(), minlength=g.shape[1] * width).reshape(-1, width)
+    return hist + hist[:, ::-1]
 
 
 def _check_norm(max_norm: int):
@@ -491,6 +560,23 @@ def shell_orbits(lat: Lattice, norm: int):
         store[norm] = reflection_orbits(shells[norm], lat.gram_array,
                                         shells[2])
     return store[norm]
+
+
+def tag_histograms(lat: Lattice, fixed: np.ndarray, norm: int,
+                   m: int) -> np.ndarray:
+    """The read-only `_tag_histograms` of the rows of `fixed` (vectors of
+    norm `norm`) over the norm-m vectors, which are walked, not built.
+    Kept in the lattice's store, keyed by (norm, m) and the bytes of
+    `fixed`, so one walk answers every inner product of every row.
+    """
+    _check_norm(m)
+    store = lat._store["tags"]
+    key = (norm, m, fixed.tobytes())
+    if key not in store:
+        hist = _tag_histograms(lat.gram_array, fixed, norm, m)
+        hist.flags.writeable = False
+        store[key] = hist
+    return store[key]
 
 
 # the lattice ids of the CLI and the cache

@@ -16,7 +16,8 @@ from . import indices as idx
 from .counting import CountEngine
 from .expansion import (EvalResult, FourierExpansion,
                         IncompatibleExpansionError, SiegelPoint)
-from .lattices import Lattice, _shell_counts, short_vector_shells
+from .lattices import (_BLOCK_ENTRIES, Lattice, _shell_counts,
+                       short_vector_shells)
 
 
 def theta_expansion(lat: Lattice, g: int, max_trace: int,
@@ -43,11 +44,6 @@ def check_norm_budget(norm_budget: int):
     `eval` checks its budget before it counts anything."""
     if norm_budget < 0 or norm_budget % 2 != 0:
         raise ValueError("norm_budget must be a non-negative even integer")
-
-
-# entry budget of one inner-product block; its float64 and integer
-# temporaries stay at 256 KiB each (512 KiB complex weights for genus >= 3)
-_BLOCK_ENTRIES = 1 << 15
 
 
 def _ip_histogram(xs: np.ndarray, ys: np.ndarray, gram: np.ndarray,

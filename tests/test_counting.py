@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schottky_workbench import counting, indices as idx, lattices
+from schottky_workbench import counting, indices as idx, lattices, theta
 from schottky_workbench.cache import CountCache
 from schottky_workbench.counting import CountEngine
-from schottky_workbench.lattices import Lattice, short_vector_shells
+from schottky_workbench.lattices import (Lattice, lattice_by_id, shell_orbits,
+                                         short_vector_shells)
 from schottky_workbench.theta import theta_expansion
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -64,6 +65,64 @@ def test_genus2_counts_match_naive_loop(e8):
     assert eng.count(((2, 0), (0, 2))) == 30240
     assert eng.count(((2, 1), (1, 2))) == 13440
     assert eng.count(((2, 2), (2, 2))) == 240
+
+
+def _fresh(name):
+    """A copy of the named lattice with an empty store."""
+    lat = lattice_by_id(name)
+    return Lattice(lat.name, lat.rank, lat.gram)
+
+
+_PAIRS = [("E8", n0, m) for m in range(2, 11, 2) for n0 in range(2, m + 1, 2)]
+_PAIRS += [("D16plus", 2, 4), ("D16plus", 2, 6), ("D16plus", 4, 6),
+           ("E8E8", 2, 6)]
+
+
+@pytest.mark.parametrize("name,n0,m", _PAIRS)
+def test_genus2_counts_match_pair_histograms(name, n0, m):
+    # the oracle bins the inner products of built shells: each norm-n0
+    # orbit representative against the whole norm-m shell, weighted by its
+    # orbit size; the engine walks the norm-m vectors when m > n0
+    lat = _fresh(name)
+    eng = CountEngine(lat)
+    b = math.isqrt(n0 * m)
+    got = [eng.count(((n0, a), (a, m))) for a in range(-b, b + 1)]
+    assert max(lat._store["shells"]) == n0
+    built = _fresh(name)
+    shells = short_vector_shells(built, m)
+    reps, sizes = shell_orbits(built, n0)
+    rows = [theta._ip_histogram(shells[m], shells[n0][r : r + 1],
+                                built.gram_array, b) for r in reps]
+    want = sum(int(w) * h for w, h in zip(sizes, rows))
+    assert got == want.tolist()
+    if m > n0:
+        # and row by row, one row per representative
+        (hist,) = lat._store["tags"].values()
+        assert hist.tolist() == np.array(rows).tolist()
+
+
+def test_genus2_leaf_histograms_hold_zero_bins():
+    # twice a root is a norm-8 representative of E8 whose inner products
+    # are all even: against the norm-10 vectors its row is zero at every
+    # odd t, and it reaches both edges t = +-isqrt(80) = +-8
+    lat = _fresh("E8")
+    CountEngine(lat).count(((8, 1), (1, 10)))
+    (hist,) = lat._store["tags"].values()
+    reps, _ = shell_orbits(lat, 8)
+    fixed = short_vector_shells(lat, 8)[8][reps]
+    (doubled,) = np.flatnonzero((fixed % 2 == 0).all(axis=1))
+    assert (hist[doubled, 1::2] == 0).all()
+    assert hist[doubled, 0] == hist[doubled, -1] > 0
+
+
+def test_genus2_leaves_build_no_shell_past_slot_0():
+    # (2, a, 4) on D16+ walks the norm-4 vectors; on E8 to trace 10 the
+    # only shells built are those of slot 0, to norm 4 for (4, a, 4) and
+    # (4, a, 6)
+    for name, max_trace, bound in (("D16plus", 6, 2), ("E8", 10, 4)):
+        lat = _fresh(name)
+        theta_expansion(lat, 2, max_trace)
+        assert max(lat._store["shells"]) == bound, name
 
 
 # E8 shell sizes N(m) = 240 sigma_3(m / 2)
@@ -205,10 +264,13 @@ def test_expansion_fills_one_store(e8):
     lat = Lattice(e8.name, e8.rank, e8.gram)
     theta_expansion(lat, 3, 8)
     store = lat._store
-    assert sorted(store) == ["gram", "orbits", "shells"]
-    assert sorted(store["shells"]) == [0, 2, 4, 6]      # one run, bound 6
+    assert sorted(store) == ["gram", "orbits", "shells", "tags"]
+    # one run, bound 4: the genus-2 (2, 6) leaves are walked, not built
+    assert sorted(store["shells"]) == [0, 2, 4]
     # slot 0 has norm 2, or norm 4 in the genus-2 diagonal (4, 4)
     assert sorted(store["orbits"]) == [2, 4]
+    # one walk per norm of the genus-2 leaves above the root slot
+    assert sorted(k[:2] for k in store["tags"]) == [(2, 4), (2, 6)]
     assert e8._store is not store
 
 
@@ -228,14 +290,24 @@ def _d16_classes():
 def _counts_with_trivial(monkeypatch, name, trivial, targets):
     """Counts of `targets` by one fresh engine per lattice, before and
     after the orbit function `name` of the counting module is replaced by
-    `trivial`."""
+    `trivial`.  Each pass counts on fresh copies of the lattices, so no
+    store the first pass fills (shells, orbits, tag histograms) answers
+    the second, and the replacement must be called."""
     def counts():
-        return {lat: list(map(CountEngine(lat).count, ts))
+        return {lat: list(map(CountEngine(_fresh(lat.name)).count, ts))
                 for lat, ts in targets.items()}
 
     want = counts()
-    monkeypatch.setattr(counting, name, trivial)
-    return counts(), want
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return trivial(*args)
+
+    monkeypatch.setattr(counting, name, spy)
+    got = counts()
+    assert calls
+    return got, want
 
 
 def test_trivial_orbits_count_the_same(e8, d16, monkeypatch):

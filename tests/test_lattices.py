@@ -25,7 +25,7 @@ from schottky_workbench.lattices import (Lattice, LatticeError,
                                          _shells, _simple_roots, direct_sum,
                                          lattice_by_id, reflection_orbits,
                                          shell_orbits, shell_sizes,
-                                         short_vector_shells)
+                                         short_vector_shells, tag_histograms)
 
 
 def _ambient_count(n: int, norm: int, with_halves: bool) -> int:
@@ -552,3 +552,27 @@ def test_reflection_orbits_of_a_root_stabilizer(name):
     # a reflection in a root not orthogonal to x_0 leaves the rows
     with pytest.raises(LatticeError, match="onto themselves"):
         reflection_orbits(roots[ip == 1], g, roots)
+
+
+def test_tag_histograms_refuse_a_longer_fixed_vector(e8, monkeypatch):
+    # a norm-4 vector stated as norm 2 meets <y, x> = 4 at y = x, past the
+    # Cauchy-Schwarz bound isqrt(4 * 2) = 2: the guard raises before it
+    # bins, and nothing is kept
+    lat = Lattice(e8.name, e8.rank, e8.gram)
+    x = short_vector_shells(lat, 4)[4][:1]
+    with pytest.raises(ArithmeticError, match="outside"):
+        tag_histograms(lat, x, 2, 4)
+    assert lat._store["tags"] == {}
+    # stated right, the row is the histogram over the 2160 norm-4 vectors,
+    # with y = x alone at the edge t = 4
+    hist = tag_histograms(lat, x, 4, 4)
+    assert hist.shape == (1, 9) and hist.sum() == 2160
+    assert hist[0, 8] == hist[0, 0] == 1
+    assert not hist.flags.writeable
+    # kept in the store: a second request walks nothing
+    monkeypatch.setattr(lattices, "_vectors", None)
+    assert tag_histograms(lat, x.copy(), 4, 4) is hist
+    # a Gram entry of 2**50 lets a partial tag pass 2**63: refused up front
+    with pytest.raises(ArithmeticError, match="2\\*\\*63"):
+        lattices._tag_histograms(np.array([[1 << 50]]),
+                                 np.ones((1, 1), dtype=np.int8), 2, 2)
