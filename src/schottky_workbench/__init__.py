@@ -6,8 +6,10 @@ period-matrix degenerations."""
 # core, and an idle worker busy-waits 2**28 cycles before it sleeps (the
 # default OPENBLAS_THREAD_TIMEOUT of 28).  On a 2-vCPU VM, `import numpy`
 # alone takes about 0.23 s wall and 0.35 s CPU; with the timeout at 4, CPU
-# equals wall.  The pool stays for the direct sum's float64 products (the
-# shell walk forms none); a value set by the user wins.
+# equals wall.  The pool stays for the float64 users: the direct sum's
+# products (`theta._ip_histogram`), `SiegelPoint.im_min_eig` (`eigvalsh`)
+# and `fay`'s sums; the shell walk and the counts are exact and call
+# neither BLAS nor LAPACK.  A value set by the user wins.
 import os
 
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")

@@ -9,7 +9,6 @@ never trusted.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import random
 
@@ -17,8 +16,6 @@ try:
     import fcntl
 except ImportError:  # non-POSIX
     fcntl = None
-
-log = logging.getLogger(__name__)
 
 # Stored records are trusted only under the version that wrote them.  Bump
 # it when the index_key serialization or the canonical key form
@@ -75,8 +72,11 @@ class CountCache:
                     count = int(count)
                 except (ValueError, KeyError, TypeError):
                     self.corrupt_records += 1
-                    log.warning("cache %s: skipping corrupt line %d",
-                                self.path, lineno)
+                    # loaded only here: a clean cache never pays for it
+                    import logging
+                    logging.getLogger(__name__).warning(
+                        "cache %s: skipping corrupt line %d", self.path,
+                        lineno)
                     continue
                 if ver != ENGINE_VERSION:
                     continue

@@ -160,6 +160,38 @@ _WALK_ROWS = 1 << 12
 # genus >= 3)
 _BLOCK_ENTRIES = 1 << 15
 
+# the least pad of a walk interval, 1e-7 (1 + |c|): it covers a center's
+# float error, which `_prefix_walk` bounds in units of float64's roundoff
+_PAD = 1e-7
+_ROUNDOFF = 2.0 ** -53
+
+
+def _center_rows(gram: np.ndarray) -> list:
+    """Row 0 of G[i:, i:]^-1 for i = 0..n-2, each entry an exact rational
+    rounded once to float64.
+
+    One fraction-free elimination of [G | I] from its last coordinate, by
+    the update of `indices.psd_pivots` with the pivots taken n-1 down to 1.
+    It factors G = U D U^T with U unit upper triangular, so G[i:, i:] =
+    U_ii D_ii U_ii^T and row 0 of its inverse is (U^-1)[i, i:] / d_i.  Once
+    the pivots after i are used, row i is det G[i+1:, i+1:] times
+    [(D U^T)[i] | (U^-1)[i]], whose diagonal entry d_i det G[i+1:, i+1:] is
+    det G[i:, i:].  So the row is the identity part of row i over its
+    diagonal entry, a quotient of Python ints, which `/` rounds correctly.
+    G is positive definite, so no pivot is 0.
+    """
+    n = len(gram)
+    m = [row + [int(r == c) for c in range(n)]
+         for r, row in enumerate(gram.tolist())]
+    prev = 1
+    for k in range(n - 1, 0, -1):
+        row, p = m[k], m[k][k]
+        for r in range(k):
+            f = m[r][k]
+            m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], row)]
+        prev = p
+    return [[a / m[i][i] for a in m[i][n + i:]] for i in range(n - 1)]
+
 
 def _prefix_walk(gram: np.ndarray, max_norm: int):
     """Blocks of every prefix (x_0..x_{n-2}) that can reach norm <= max_norm.
@@ -189,21 +221,39 @@ def _prefix_walk(gram: np.ndarray, max_norm: int):
     positive definite, so q = 0 holds on the zero prefix alone, and its next
     coordinate starts at 0.  The zero prefix is thus row 0 of the first
     block at every level.
+
+    Exactness of the centers: the rows of G_uu^-1 are exact rationals
+    rounded once (`_center_rows`).  Under `_expand`'s cap |x| <= 32767, at
+    level i each live |h_k| is at most r_k = 32767 sum_{j<i} |G_jk|, and c
+    = sum_k h_k w_k is formed from L live products, so its float error is
+    at most gamma_{L+1} sum_k |w_k| r_k, gamma_j = j u / (1 - j u) with u =
+    2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1); about 3e-11 on D16+.  The walk checks once, before it
+    walks any prefix, that this stays below 1e-7, the least pad, and that
+    every r_k is below 2**53, so h is exact in int64 and in float64;
+    otherwise it raises ArithmeticError.
     """
     n = gram.shape[0]
     bound = float(max_norm) + 0.25
     # the columns of h at level i: the open coordinates a filled one touches
     live = [np.flatnonzero(gram[:i, i:].any(axis=0)) + i for i in range(n)]
     levels = []
-    for i in range(n - 1):
+    for i, row in enumerate(_center_rows(gram)):
         # row 0 of G_uu^{-1} for u = (i..n-1): its entry 0 is 1 / (the LDL
         # pivot of x_i), and minus its product with h is the center of x_i
-        w = np.linalg.inv(gram[i:, i:].astype(np.float64))[0]
+        w = np.array(row)[live[i] - i]
+        reach = 32767 * np.abs(gram[:i, live[i]]).sum(axis=0)
+        gamma = (len(w) + 1) * _ROUNDOFF / (1 - (len(w) + 1) * _ROUNDOFF)
+        if reach.max(initial=0) >= 1 << 53 or \
+                gamma * float((np.abs(w) * reach).sum()) >= _PAD:
+            raise ArithmeticError(
+                f"the float error of a level-{i} center could reach the "
+                f"interval pad {_PAD}")
         at = {k: j for j, k in enumerate(live[i].tolist())}
         # each column of level i + 1: its column at level i (None if it
         # opens now) and its coefficient G_ik of x_i
         moves = [(at.get(k), int(gram[i, k])) for k in live[i + 1].tolist()]
-        levels.append((w[live[i] - i], w[0], at.get(i), moves))
+        levels.append((w, row[0], at.get(i), moves))
 
     def interval(i, q, h, partial):
         """the center c of x_i on these prefixes and its padded interval
@@ -214,7 +264,7 @@ def _prefix_walk(gram: np.ndarray, max_norm: int):
         for j, wj in enumerate(w):
             c += h[:, j] * wj
         radius = np.sqrt(np.maximum(bound - partial, 0.0) * w0)
-        pad = 1e-7 * (1.0 + np.abs(c))
+        pad = _PAD * (1.0 + np.abs(c))
         lo = np.ceil(-c - radius - pad).astype(np.int64)
         hi = np.floor(-c + radius + pad).astype(np.int64)
         lo[q == 0] = 0
@@ -538,12 +588,28 @@ def reflection_orbits(x: np.ndarray, gram: np.ndarray, roots: np.ndarray):
 
     The rows are matched by their exact int16 bytes (`orbit_labels`); a
     reflection that maps a row outside them raises LatticeError.
+
+    Exactness: <x, r> is exact in int64, and an image coordinate x_i -
+    <x, r> r_i is at most max|x| + max|<x, r>| max|r| in absolute value.
+    Shell rows are int8, so |<x, r>| <= 127 sum_j |(G r)_j|: for the simple
+    roots of E8 and E8 + E8 (sum 5, max|r| = 1) an image stays within 762,
+    and for those of D16+ (sum 5, max|r| = 13) within 8382.  A root for
+    which the bound on the rows themselves passes 32767 raises LatticeError
+    before any int16 cast.
     """
     xs = x.astype(np.int16)
-    images = (xs - np.einsum("ki,i->k", x, gram @ r).astype(np.int16)[:, None]
-              * r.astype(np.int16) for r in _simple_roots(gram, roots))
+    top = int(np.abs(xs).max(initial=0))
+
+    def images():
+        for r in _simple_roots(gram, roots):
+            ip = np.einsum("ki,i->k", x, gram @ r)
+            if top + int(np.abs(ip).max(initial=0)) * int(np.abs(r).max()) \
+                    > 32767:
+                raise LatticeError("a reflected row could leave int16 range")
+            yield xs - ip.astype(np.int16)[:, None] * r.astype(np.int16)
+
     try:
-        labels = orbit_labels(xs, images)
+        labels = orbit_labels(xs, images())
     except ValueError as exc:
         raise LatticeError(str(exc)) from None
     return np.unique(labels, return_counts=True)

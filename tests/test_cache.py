@@ -166,6 +166,26 @@ for i in range(int(n)):
 """
 
 
+def _child_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(schottky_workbench.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_import_loads_no_logging():
+    # logging is imported only to warn of a corrupt line, so a fresh
+    # interpreter that loads the command line has not loaded it
+    code = ("import sys, schottky_workbench.cli; "
+            "print('logging' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.split() == ["False"]
+
+
 def _wait_for(paths, timeout):
     deadline = time.monotonic() + timeout
     while not all(p.exists() for p in paths):
@@ -180,10 +200,7 @@ def test_two_processes_append_concurrently(tmp_path):
     lids = ("E8", "D16plus")
     path, go = tmp_path / "c.jsonl", tmp_path / "go"
     ready = [tmp_path / f"{lid}.ready" for lid in lids]
-    src = os.path.dirname(os.path.dirname(schottky_workbench.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
+    env = _child_env()
     children = [subprocess.Popen([sys.executable, "-c", _APPEND_CHILD,
                                   str(path), lid, str(n), str(r), str(go)],
                                  env=env)

@@ -19,13 +19,16 @@ import numpy as np
 import pytest
 
 from schottky_workbench import lattices
+from schottky_workbench.counting import CountEngine
 from schottky_workbench.lattices import (Lattice, LatticeError,
                                          UnsupportedLatticeError,
-                                         _modular_series, _shell_counts,
-                                         _shells, _simple_roots, direct_sum,
-                                         lattice_by_id, reflection_orbits,
-                                         shell_orbits, shell_sizes,
-                                         short_vector_shells, tag_histograms)
+                                         _center_rows, _modular_series,
+                                         _shell_counts, _shells,
+                                         _simple_roots, _tag_histograms,
+                                         direct_sum, lattice_by_id,
+                                         reflection_orbits, shell_orbits,
+                                         shell_sizes, short_vector_shells,
+                                         tag_histograms)
 
 
 def _ambient_count(n: int, norm: int, with_halves: bool) -> int:
@@ -344,6 +347,64 @@ def test_enumeration_random_grams_match_oracles(seed):
             m: int((norms == m).sum()) for m in range(0, max_norm + 1, 2)}
 
 
+def test_center_rows_match_lapack():
+    # LAPACK is the oracle here only: the walk's rows are exact rationals
+    # rounded once, so they agree with a float inverse to its own error
+    grams = [lattice_by_id(name).gram_array
+             for name in ("E8", "D16plus", "E8E8")]
+    grams += [g for seed in range(6) for g, _ in _random_even_grams(seed, 3)]
+    for gram in grams:
+        rows = _center_rows(gram)
+        assert len(rows) == len(gram) - 1
+        for i, row in enumerate(rows):
+            want = np.linalg.inv(gram[i:, i:].astype(np.float64))[0]
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
+    # each entry is the exact rational rounded once: G[1:, 1:] = [[2, 1],
+    # [1, 2]] has the row (2/3, -1/3)
+    assert _center_rows(np.array([[4, 1, 1], [1, 2, 1], [1, 1, 2]]))[1] == \
+        [2 / 3, -1 / 3]
+
+
+def test_walk_refuses_centers_past_the_pad(monkeypatch):
+    # x_0 may reach 32767 under the int16 cap, so h on the columns 1 and 2
+    # may reach 32767 b, and the center's float error bound, 3 u times that
+    # over the row (2/3, -1/3), is 1.1e-6 at b = 10**5, past the pad 1e-7;
+    # at b = 10**3 it is 1.1e-8, and the walk finds the roots of G[1:, 1:]
+    # (A2)
+    def gram(b):
+        return np.array([[10 ** 10, b, b], [b, 2, 1], [b, 1, 2]])
+
+    assert _shell_counts(gram(10 ** 3), 2) == {0: 1, 2: 6}
+
+    def expand(*args):
+        raise AssertionError("the walk expanded a prefix")
+
+    # refused when the walk starts, before any prefix is expanded
+    monkeypatch.setattr(lattices, "_expand", expand)
+    for walk in (_shells, _shell_counts):
+        with pytest.raises(ArithmeticError, match="pad"):
+            walk(gram(10 ** 5), 2)
+
+
+@pytest.mark.parametrize("name", ["E8", "D16plus", "E8E8"])
+def test_walks_and_counts_call_no_lapack(name, monkeypatch):
+    # the walks and the count recursion are exact: no LAPACK routine runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK routine was called")
+
+    for fn in ("inv", "solve", "cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, fn, refuse)
+    named = lattice_by_id(name)
+    lat = Lattice(named.name, named.rank, named.gram)   # an empty store
+    gram = lat.gram_array
+    shells = _shells(gram, 4)
+    assert _shell_counts(gram, 4) == {m: len(v) for m, v in shells.items()}
+    hist = _tag_histograms(gram, shells[2], 2, 4)
+    assert (hist.sum(axis=1) == len(shells[4])).all()
+    want = {"E8": 967680, "D16plus": 8386560, "E8E8": 8386560}[name]
+    assert CountEngine(lat).count(((2, 1, 0), (1, 2, 0), (0, 0, 2))) == want
+
+
 def _sigma(k, n):
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)
 
@@ -552,6 +613,22 @@ def test_reflection_orbits_of_a_root_stabilizer(name):
     # a reflection in a root not orthogonal to x_0 leaves the rows
     with pytest.raises(LatticeError, match="onto themselves"):
         reflection_orbits(roots[ip == 1], g, roots)
+
+
+def test_reflection_orbits_refuse_int16_images():
+    # with k = 2**15, <x, r> = 2k + 10 = 65546 for x = (1, 5) and the root
+    # r = (0, 1); cast to int16 it would wrap to 10, and the image
+    # (1, 5 - 65546) would read as the row (1, -5), one false orbit of two
+    # rows.  The guard raises before the cast
+    k = 1 << 15
+    gram = np.array([[2 * k * k + 2, 2 * k], [2 * k, 2]])
+    x = np.array([[1, 5], [1, -5]], dtype=np.int8)
+    with pytest.raises(LatticeError, match="int16"):
+        reflection_orbits(x, gram, np.array([[0, 1], [0, -1]]))
+    # with x_0 = 0 the images stay small and the rows are one orbit
+    reps, sizes = reflection_orbits(np.array([[0, 5], [0, -5]], np.int8),
+                                    gram, np.array([[0, 1], [0, -1]]))
+    assert reps.tolist() == [0] and sizes.tolist() == [2]
 
 
 def test_tag_histograms_refuse_a_longer_fixed_vector(e8, monkeypatch):

@@ -13,10 +13,13 @@ from schottky_workbench import CountEngine, lattice_by_id
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# the counting recursion is exact int64 and calls no BLAS routine, and the
-# shell walk it reads pads every float interval, so counts must not move
-# with OPENBLAS_NUM_THREADS; these classes reach their one open slot after
-# two or three orbit levels, on both lattices
+# the counting recursion is exact int64, and the shell walk it reads takes
+# its center rows from an exact elimination and pads every float interval;
+# neither calls BLAS or LAPACK (the float64 users are
+# `theta._ip_histogram`, `SiegelPoint.im_min_eig` through `eigvalsh`, and
+# `fay`), so counts must not move with OPENBLAS_NUM_THREADS; these classes
+# reach their one open slot after two or three orbit levels, on both
+# lattices
 CLASSES = [
     ("E8", ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)), 47174400),
     ("E8", ((2, 1, 0, 0), (1, 2, 1, 0), (0, 1, 2, 1), (0, 0, 1, 4)), 29030400),
