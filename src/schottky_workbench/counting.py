@@ -1,9 +1,10 @@
 """Representation numbers: tuples of lattice vectors with a prescribed Gram
 matrix.
 
-After the zero-slot and Cauchy-Schwarz reductions, genus 1 is a shell size,
-read from the theta series as a modular form (`shell_sizes`: at rank 8 and
-16 nothing is walked), and every genus >= 2 index runs through one
+After the zero-slot and Cauchy-Schwarz reductions, each genus has one
+counting path.  Genus 1 is a shell size, read from the theta series as a
+modular form (`shell_sizes`: at rank 8 and 16 nothing is walked).  Genus 2
+is one tagged walk (below).  Every genus >= 3 index runs through one
 recursion.  Candidates are vectors, not indices: a slot starts as its shell,
 with no copy, and each fixed vector narrows every later slot to the rows
 that match it.  Each slot runs over orbit representatives of its candidates,
@@ -21,12 +22,13 @@ root set is narrowed one fixed vector at a time, as the candidates are.  The
 recursion stops when one slot is open, and that slot's candidate count is
 its only leaf.
 
-A genus-2 target with norms n0 < m builds no norm-m shell: its count is
+A genus-2 target with norms n0 <= m narrows no shell: its count is
 sum_r w_r #{y : |y|^2 = m, <y, x_r> = a} over the slot-0 representatives
 x_r.  One count-only walk at norm m tags each walked vector with its inner
 product against every x_r and bins the tags (`lattices.tag_histograms`);
 the lattice's store keeps the histograms, so the walk answers every a.
-Genus 2 with equal norms and every genus >= 3 target narrow built shells.
+Shells are built only to norm n0, for the orbits, so at n0 < m the norm-m
+shell is never built.
 
 Exactness: every inner product is an int64 product of one fixed vector with
 int8 candidates, or an int64 tag summed along the walk (bounded in
@@ -90,20 +92,19 @@ class CountEngine:
         if g == 1:
             # a shell size, read from the modular form: no shell is built
             return shell_sizes(self.lattice, s[0][0])[s[0][0]]
+        if g == 2:
+            n0, m = sorted((s[0][0], s[1][1]))
+            return self._pair_count(n0, s[0][1], m)
         return self._count_dfs(s)
 
-    # -- genus >= 2: fix slots one vector at a time ------------------------
+    # -- genus >= 3: fix slots one vector at a time ------------------------
 
     def _count_dfs(self, s) -> int:
         """Fix x_0, x_1, ... one orbit representative at a time, each
         weighted by its orbit size, until one slot is open, and count its
-        candidates.  A genus-2 target with two norms n0 < m reads its one
-        leaf from the tag histograms of the norm-n0 representatives
-        (`_pair_count`); genus 2 with equal norms and every genus >= 3
-        target narrow built shells."""
+        candidates in built shells.  Only genus >= 3 targets come here;
+        genus 2 is `_pair_count`."""
         norms = [s[p][p] for p in range(len(s))]
-        if len(s) == 2 and norms[0] != norms[1]:
-            return self._pair_count(min(norms), s[0][1], max(norms))
         shells = short_vector_shells(self.lattice, max(norms))
         gram = self.lattice.gram_array
 
@@ -129,12 +130,13 @@ class CountEngine:
                    for r, w in zip(reps, sizes))
 
     def _pair_count(self, n0, a, m) -> int:
-        """#{(x, y) : |x|^2 = n0, <x, y> = a, |y|^2 = m}, n0 < m, as
+        """#{(x, y) : |x|^2 = n0, <x, y> = a, |y|^2 = m}, n0 <= m, as
         sum_r w_r #{y : |y|^2 = m, <y, x_r> = a} over the slot-0 orbit
         representatives x_r and their orbit sizes w_r.  The second factor
         is read from `tag_histograms`, one count-only walk at norm m per
-        set of representatives that answers every a; the norm-m shell is
-        never built, and the shells only to norm n0."""
+        set of representatives that answers every a; the shells are built
+        only to norm n0, for the representatives, so at n0 < m the norm-m
+        shell is never built."""
         reps, sizes = shell_orbits(self.lattice, n0)
         fixed = short_vector_shells(self.lattice, n0)[n0][reps]
         hist = tag_histograms(self.lattice, fixed, n0, m)

@@ -138,13 +138,17 @@ def _expand(lo: np.ndarray, hi: np.ndarray):
     """Row index and value of every integer in each interval [lo_k, hi_k].
 
     A value with |x| > 32767 raises LatticeError: the walk keeps one half
-    of a shell, and the other half's coordinates are the negated ones.
+    of a shell, and the other half's coordinates are the negated ones.  The
+    values are the integers of the non-empty intervals, so their ends are
+    checked before any array of them is allocated.
     """
     width = np.maximum(hi - lo + 1, 0)
+    full = width > 0
+    if full.any() and (lo[full].min() <= -(1 << 15)
+                       or hi[full].max() >= 1 << 15):
+        raise LatticeError("coordinates exceed int16 range")
     rep = np.repeat(np.arange(len(lo)), width)
     xi = np.arange(len(rep)) - np.repeat(np.cumsum(width) - width - lo, width)
-    if len(xi) and (xi.min() <= -(1 << 15) or xi.max() >= 1 << 15):
-        raise LatticeError("coordinates exceed int16 range")
     return rep, xi
 
 

@@ -74,15 +74,15 @@ def _fresh(name):
 
 
 _PAIRS = [("E8", n0, m) for m in range(2, 11, 2) for n0 in range(2, m + 1, 2)]
-_PAIRS += [("D16plus", 2, 4), ("D16plus", 2, 6), ("D16plus", 4, 6),
-           ("E8E8", 2, 6)]
+_PAIRS += [("D16plus", 2, 4), ("D16plus", 2, 6), ("D16plus", 4, 4),
+           ("D16plus", 4, 6), ("E8E8", 2, 6), ("E8E8", 4, 4)]
 
 
 @pytest.mark.parametrize("name,n0,m", _PAIRS)
 def test_genus2_counts_match_pair_histograms(name, n0, m):
     # the oracle bins the inner products of built shells: each norm-n0
     # orbit representative against the whole norm-m shell, weighted by its
-    # orbit size; the engine walks the norm-m vectors when m > n0
+    # orbit size; the engine walks the norm-m vectors, also when m = n0
     lat = _fresh(name)
     eng = CountEngine(lat)
     b = math.isqrt(n0 * m)
@@ -95,10 +95,27 @@ def test_genus2_counts_match_pair_histograms(name, n0, m):
                                 built.gram_array, b) for r in reps]
     want = sum(int(w) * h for w, h in zip(sizes, rows))
     assert got == want.tolist()
-    if m > n0:
-        # and row by row, one row per representative
-        (hist,) = lat._store["tags"].values()
-        assert hist.tolist() == np.array(rows).tolist()
+    # and row by row, one row per representative
+    (hist,) = lat._store["tags"].values()
+    assert hist.tolist() == np.array(rows).tolist()
+
+
+def test_genus2_never_reaches_the_recursion(monkeypatch):
+    # every genus-2 class, equal norms included, is one tagged walk; summed
+    # over a, the (n0, a, m) coefficients give N(n0) N(m), two shell sizes
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a genus-2 count reached _count_dfs")
+
+    monkeypatch.setattr(CountEngine, "_count_dfs", forbidden)
+    for name, trace in (("E8", 10), ("D16plus", 8)):
+        lat = _fresh(name)
+        sums = collections.Counter()
+        coeffs = theta_expansion(lat, 2, trace).coeffs
+        for ((n0, _), (_, m)), c in coeffs.items():
+            sums[n0, m] += c
+        sizes = lattices.shell_sizes(lat, trace)
+        assert sums == {(n0, m): sizes[n0] * sizes[m] for n0 in sizes
+                        for m in sizes if n0 + m <= trace}
 
 
 def test_genus2_leaf_histograms_hold_zero_bins():
@@ -269,8 +286,10 @@ def test_expansion_fills_one_store(e8):
     assert sorted(store["shells"]) == [0, 2, 4]
     # slot 0 has norm 2, or norm 4 in the genus-2 diagonal (4, 4)
     assert sorted(store["orbits"]) == [2, 4]
-    # one walk per norm of the genus-2 leaves above the root slot
-    assert sorted(k[:2] for k in store["tags"]) == [(2, 4), (2, 6)]
+    # one walk per norm pair n0 <= m of the genus-2 targets, equal norms
+    # included
+    assert sorted(k[:2] for k in store["tags"]) == [(2, 2), (2, 4), (2, 6),
+                                                    (4, 4)]
     assert e8._store is not store
 
 

@@ -182,6 +182,27 @@ def _enumerate_array(gram, max_norm):
                       [len(v) for v in shells.values()]))
 
 
+def test_expand_refuses_before_it_allocates(monkeypatch):
+    # the int16 guard reads the ends of the non-empty intervals, so an
+    # interval of 2**40 + 1 integers is refused before np.repeat is asked
+    # for them; so is E8's level-0 interval at norm 2**56 (about 5.4e8)
+    repeat = np.repeat
+
+    def small_repeat(a, repeats, *args, **kwargs):
+        assert int(np.sum(repeats)) <= 1 << 20, "np.repeat of a huge total"
+        return repeat(a, repeats, *args, **kwargs)
+
+    monkeypatch.setattr(np, "repeat", small_repeat)
+    with pytest.raises(LatticeError, match="int16"):
+        lattices._expand(np.array([0]), np.array([1 << 40]))
+    with pytest.raises(LatticeError, match="int16"):
+        _shell_counts(lattices.E8_GRAM, 1 << 56)
+    # an empty interval is no value, whatever its ends
+    rep, xi = lattices._expand(np.array([3, 1 << 40, -2]),
+                               np.array([4, 0, -1]))
+    assert rep.tolist() == [0, 0, 2, 2] and xi.tolist() == [3, 4, -2, -1]
+
+
 def test_enumeration_refuses_int16_coordinates():
     # the rank-1 form 2x^2 <= 2 * 32768**2 allows x = +-32768 (65537 values)
     with pytest.raises(LatticeError, match="int16"):
