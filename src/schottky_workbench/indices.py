@@ -54,37 +54,53 @@ def psd_pivots(entries):
     """The pivots of an exact symmetric elimination, or None if the matrix
     is not positive semi-definite.
 
-    Symmetric Gaussian elimination with diagonal pivots: a negative pivot is
-    a witness against psd; a zero pivot forces its whole row to vanish.  The
-    elimination is fraction-free, m[i][j] <- (p*m[i][j] - m[i][k]*m[k][j]) /
-    p_prev with p = m[k][k] > 0 and p_prev the previous nonzero pivot.  The
-    division is exact (Bareiss), it keeps the entries as small as minors, and
-    the trailing block stays p_prev times the rational Schur complement, so
-    signs and zero pattern, hence the verdict, are those of the rational
-    elimination.  When no pivot is zero, pivot k is the leading principal
-    minor of order k + 1, so the last pivot is the determinant.
+    The rows are added one at a time by `_border`, so the pivots are those
+    of a symmetric Gaussian elimination with diagonal pivots.  When no pivot
+    is zero, pivot k is the leading principal minor of order k + 1, so the
+    last pivot is the determinant.
     """
-    m = [list(row) for row in as_entries(entries)]
-    g = len(m)
-    prev = 1
-    pivots = []
-    for k in range(g):
-        p = m[k][k]
-        if p < 0:
+    state = ((), ())
+    for k, row in enumerate(as_entries(entries)):
+        state = _border(state, row[:k + 1])
+        if state is None:
             return None
-        pivots.append(p)
-        row = m[k]
-        if p == 0:
-            if any(row[j] != 0 for j in range(k + 1, g)):
-                return None
-            continue
-        for i in range(k + 1, g):
-            mi = m[i]
-            f = mi[k]
-            for j in range(k + 1, g):
-                mi[j] = (p * mi[j] - f * row[j]) // prev
-        prev = p
-    return pivots
+    return list(state[1])
+
+
+def _border(state, row):
+    """The elimination state of a psd block grown by one row and column, or
+    None if the grown block is not psd.
+
+    `state` is (rows, pivots) of a k x k block: rows[j] holds row j's
+    entries (j, l), l > j, after j elimination steps, and pivots[j] its
+    entry (j, j).  `row` is the new row's entries (k, 0..k).  The
+    elimination is fraction-free: at step j, with p = pivots[j] and f the
+    new row's entry j, each later entry r_l becomes (p r_l - f E_jl) //
+    prev, prev the previous nonzero pivot.  The division is exact
+    (Bareiss), it keeps the entries as small as minors, and the trailing
+    block stays prev times the rational Schur complement, so signs and zero
+    pattern, hence the verdict, are those of the rational elimination: a
+    zero pivot forces f = 0, and the new pivot, the last entry, must be
+    >= 0.  The trailing block is symmetric, so f is also entry (j, k), which
+    rows[j] appends.
+    """
+    rows, pivots = state
+    k = len(pivots)
+    r = list(row)
+    prev = 1
+    for j, (e, p) in enumerate(zip(rows, pivots)):
+        f = r[j]
+        if p:
+            for l in range(j + 1, k):
+                r[l] = (p * r[l] - f * e[l - j - 1]) // prev
+            r[k] = (p * r[k] - f * f) // prev
+            prev = p
+        elif f:
+            return None
+    if r[k] < 0:
+        return None
+    # step j leaves r[j] as it read it, f
+    return tuple(e + (f,) for e, f in zip(rows, r)) + ((),), pivots + (r[k],)
 
 
 def trace(entries) -> int:
@@ -135,7 +151,9 @@ def enumerate_indices(g: int, max_trace: int) -> tuple:
     row runs over that pair's Cauchy-Schwarz range, and the grown leading
     block must pass the exact psd test.  Every leading block of a psd matrix
     is psd, so a block that fails can only end in matrices that are not
-    indices, and cutting its branch loses none.
+    indices, and cutting its branch loses none.  Each block carries its
+    elimination state, so a candidate costs one `_border` step, the new
+    row's, and not a whole elimination.
     Order: (trace, diagonal, upper triangle), so the output is deterministic.
     The result is memoized per (g, max_trace) and immutable, so every caller
     shares one enumeration.
@@ -147,22 +165,19 @@ def enumerate_indices(g: int, max_trace: int) -> tuple:
             "max_trace must be a non-negative even integer")
     out = []
 
-    def grow(block, left):
+    def grow(block, state, left):
         if len(block) == g:
             out.append(block)
             return
-        # d = 0 borders the block with zeros, psd as the block is: no test
-        grow(tuple(row + (0,) for row in block) + ((0,) * (len(block) + 1),),
-             left)
-        for d in range(2, left + 1, 2):
+        for d in range(0, left + 1, 2):
             bounds = (math.isqrt(d * row[p]) for p, row in enumerate(block))
             for col in itertools.product(*(range(-b, b + 1) for b in bounds)):
-                grown = tuple(row + (v,) for row, v in zip(block, col)) + \
-                    (col + (d,),)
-                if is_psd(grown):
-                    grow(grown, left - d)
+                grown = _border(state, col + (d,))
+                if grown is not None:
+                    grow(tuple(row + (v,) for row, v in zip(block, col)) +
+                         (col + (d,),), grown, left - d)
 
-    grow((), max_trace)
+    grow((), ((), ()), max_trace)
     out.sort(key=lambda s: (trace(s), tuple(s[p][p] for p in range(g)),
                             tuple(upper_triangle(s))))
     return tuple(out)

@@ -175,7 +175,7 @@ def _center_rows(gram: np.ndarray) -> list:
     rounded once to float64.
 
     One fraction-free elimination of [G | I] from its last coordinate, by
-    the update of `indices.psd_pivots` with the pivots taken n-1 down to 1.
+    the update of `indices._border` with the pivots taken n-1 down to 1.
     It factors G = U D U^T with U unit upper triangular, so G[i:, i:] =
     U_ii D_ii U_ii^T and row 0 of its inverse is (U^-1)[i, i:] / d_i.  Once
     the pivots after i are used, row i is det G[i+1:, i+1:] times
@@ -545,6 +545,12 @@ def _modular_series(weight: int, head: list, terms: int) -> list:
     return [int(a) for a in series]
 
 
+# the largest norm `shell_sizes` reads from the theta series: its q-series
+# convolutions are quadratic in the number of terms, and at this bound the
+# D16+ series (two products of 5001 terms) takes about 2.7 s on a 2-vCPU VM
+_MAX_SERIES_NORM = 10_000
+
+
 def shell_sizes(lat: Lattice, max_norm: int) -> dict:
     """{m: number of vectors of norm m} for even m <= max_norm.
 
@@ -556,9 +562,13 @@ def shell_sizes(lat: Lattice, max_norm: int) -> dict:
     are the shell sizes up to norm 2(d - 1) from `short_vector_shells`
     (the roots alone at rank 24 and 32).  At rank 8 and 16, d = 1 and the
     series is E_4^(rank / 8): nothing is walked and the store is left as
-    it is.
+    it is.  A norm above `_MAX_SERIES_NORM` raises ValueError before any
+    series is built.
     """
     _check_norm(max_norm)
+    if max_norm > _MAX_SERIES_NORM:
+        raise ValueError(f"max_norm {max_norm} exceeds the theta series "
+                         f"bound {_MAX_SERIES_NORM}")
     weight = lat.rank // 2
     d = weight // 12 + (weight % 12 != 2)
     shells = short_vector_shells(lat, 2 * (d - 1)) if d > 1 else {}

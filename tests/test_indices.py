@@ -33,9 +33,37 @@ def test_enumerate_genus2_matches_brute_force():
     assert len(idx.enumerate_indices(2, 4)) == 10
 
 
+def _column_pivots(entries):
+    """Oracle: the pivots of the same fraction-free symmetric elimination,
+    or None if the matrix is not psd, by a column sweep over the whole
+    matrix: pivot k updates every later row at once."""
+    m = [list(row) for row in idx.as_entries(entries)]
+    g = len(m)
+    prev = 1
+    pivots = []
+    for k in range(g):
+        p = m[k][k]
+        if p < 0:
+            return None
+        pivots.append(p)
+        row = m[k]
+        if p == 0:
+            if any(row[j] != 0 for j in range(k + 1, g)):
+                return None
+            continue
+        for i in range(k + 1, g):
+            mi = m[i]
+            f = mi[k]
+            for j in range(k + 1, g):
+                mi[j] = (p * mi[j] - f * row[j]) // prev
+        prev = p
+    return pivots
+
+
 def _box_indices(g, max_trace):
     """Oracle: every matrix of the full Cauchy-Schwarz box over the even
-    diagonals, kept when psd, in the enumeration's order."""
+    diagonals, kept when psd by the column sweep, in the enumeration's
+    order."""
     pairs = [(p, q) for p in range(g) for q in range(p + 1, g)]
     out = []
     for diag in itertools.product(range(0, max_trace + 1, 2), repeat=g):
@@ -48,7 +76,7 @@ def _box_indices(g, max_trace):
                 m[p][p] = diag[p]
             for (p, q), v in zip(pairs, offs):
                 m[p][q] = m[q][p] = v
-            if idx.is_psd(m):
+            if _column_pivots(m) is not None:
                 out.append(idx.as_entries(m))
     out.sort(key=lambda s: (idx.trace(s), tuple(s[p][p] for p in range(g)),
                             tuple(idx.upper_triangle(s))))
@@ -60,6 +88,23 @@ def test_row_walk_matches_box(g):
     for max_trace in range(0, 10, 2):
         assert idx.enumerate_indices(g, max_trace) == \
             _box_indices(g, max_trace), (g, max_trace)
+
+
+def test_row_walk_carries_its_own_elimination(monkeypatch):
+    # the walk grows each block's elimination state one row at a time: it
+    # runs no whole psd test
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the walk ran a whole psd test")
+
+    idx.enumerate_indices.cache_clear()
+    monkeypatch.setattr(idx, "is_psd", forbidden)
+    monkeypatch.setattr(idx, "psd_pivots", forbidden)
+    try:
+        for g, max_trace in ((4, 8), (5, 6)):
+            assert idx.enumerate_indices(g, max_trace) == \
+                _box_indices(g, max_trace), (g, max_trace)
+    finally:
+        idx.enumerate_indices.cache_clear()
 
 
 def test_enumeration_counts():
@@ -332,3 +377,40 @@ def test_integer_psd_matches_fraction_oracle():
         verdicts.add(want)
     assert verdicts == {True, False}
 
+
+
+def _fraction_det(m, k):
+    """The determinant of the leading k x k block, over the rationals."""
+    a = [[Fraction(m[i][j]) for j in range(k)] for i in range(k)]
+    det = Fraction(1)
+    for c in range(k):
+        p = next((r for r in range(c, k) if a[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, k):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def test_bordered_pivots_match_column_sweep_and_minors():
+    # one row at a time (`_border`) gives the column sweep's pivots and
+    # verdicts; with no zero pivot, pivot k is the leading principal minor
+    # of order k + 1, which `Lattice`'s unimodular check reads
+    rng = random.Random(11)
+    verdicts, minors = set(), 0
+    for _ in range(3000):
+        m = _random_symmetric(rng, rng.randint(1, 6))
+        pivots = idx.psd_pivots(m)
+        assert pivots == _column_pivots(m), m
+        verdicts.add(pivots is None)
+        if pivots is not None and 0 not in pivots:
+            assert pivots == [_fraction_det(m, k + 1)
+                              for k in range(len(m))], m
+            minors += 1
+    assert verdicts == {True, False}
+    assert minors > 300

@@ -473,6 +473,19 @@ def test_shell_sizes_never_walk_at_rank_8_and_16(e8, d16, monkeypatch):
         shell_sizes(e8, 5)
 
 
+def test_shell_sizes_refuse_a_huge_norm_before_any_series(e8, monkeypatch):
+    # the series is quadratic in max_norm / 2 terms: a norm past the bound
+    # is refused before a single term is built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("shell_sizes built a series")
+
+    monkeypatch.setattr(lattices, "_divisor_series", forbidden)
+    with pytest.raises(ValueError, match="exceeds"):
+        shell_sizes(e8, 2 ** 56)
+    with pytest.raises(ValueError, match="exceeds"):
+        shell_sizes(e8, lattices._MAX_SERIES_NORM + 2)
+
+
 @pytest.mark.parametrize("parts,want", [
     (("E8", "D16plus"), {0: 1, 2: 720, 4: 179280}),
     (("E8", "D16plus", "E8"), {0: 1, 2: 960, 4: 354240}),
