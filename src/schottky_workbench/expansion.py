@@ -151,20 +151,18 @@ class FourierExpansion:
     array) per table row.  `coeffs` is the derived {index: value} view.
 
     The constructor takes such a mapping or a sequence aligned with the
-    table.  Only mapping keys that miss the table's row map are validated;
+    table.  Only mapping keys that miss the table's rows are validated;
     an index inside the truncation that the mapping omits is stored as 0.
     """
 
     def __init__(self, g: int, weight: int, max_trace: int, coeffs,
                  prefactor_power: int = 0):
-        if max_trace < 0 or max_trace % 2 != 0:
-            raise ValueError("max_trace must be a non-negative even integer")
         self.g = g
         self.weight = weight
         self.max_trace = max_trace
         self.prefactor_power = prefactor_power
         self.table = idx.index_table(g, max_trace)
-        column = np.zeros(len(self.table.keys), dtype=object)
+        column = np.zeros(len(self.table.mats), dtype=object)
         if isinstance(coeffs, Mapping):
             for key, val in coeffs.items():
                 column[self._row(key, ValueError)] = val
@@ -176,20 +174,17 @@ class FourierExpansion:
         self.column = column
 
     def _row(self, key, beyond) -> int:
-        """Table row of an index; only a key that misses the row map is
-        validated, and one beyond the truncation raises `beyond`."""
-        try:
-            return self.table.rows[key]
-        except (KeyError, TypeError):   # a miss, or a list or an array
-            s = idx.validate_index(key)
-        if s not in self.table.rows:
-            raise beyond(f"{s} is not a genus-{self.g} index of trace <= "
-                         f"{self.max_trace}")
-        return self.table.rows[s]
+        """Table row of an index; only a key that misses the table is
+        validated, and a valid one, beyond the truncation, raises `beyond`."""
+        if (r := self.table.row(key)) is None:
+            raise beyond(f"{idx.validate_index(key)} is not a genus-{self.g} "
+                         f"index of trace <= {self.max_trace}")
+        return r
 
     @cached_property
     def coeffs(self):
-        return MappingProxyType(dict(zip(self.table.keys, self.column)))
+        keys = map(idx.as_entries, self.table.mats.tolist())
+        return MappingProxyType(dict(zip(keys, self.column)))
 
     def coefficient(self, key):
         """Exact coefficient at the index; absent keys within the truncation
@@ -209,7 +204,7 @@ class FourierExpansion:
             raise IncompatibleExpansionError(
                 "expansions differ in genus, weight or prefactor")
         mt = min(self.max_trace, other.max_trace)
-        k = len(idx.index_table(self.g, mt).keys)
+        k = len(idx.index_table(self.g, mt).mats)
         return FourierExpansion(self.g, self.weight, mt,
                                 op(self.column[:k], other.column[:k]),
                                 self.prefactor_power)
@@ -238,13 +233,15 @@ class FourierExpansion:
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
+        r, c = np.triu_indices(self.g)
+        upper = self.table.mats[:, r, c]
+        # by (trace, upper triangle); lexsort's last key is its first
+        order = np.lexsort((*upper.T[::-1], self.table.mats.trace(0, 1, 2)))
         entries = []
-        for s in sorted(self.table.keys,
-                        key=lambda s: (idx.trace(s), idx.upper_triangle(s))):
-            a = self.column[self.table.rows[s]]
+        for a, s in zip(self.column[order], upper[order].tolist()):
             if not isinstance(a, int):
                 raise ValueError("only integer coefficients serialize")
-            entries.append({"S": idx.upper_triangle(s), "a": str(a)})
+            entries.append({"S": s, "a": str(a)})
         return {
             "format": "fourier-expansion",
             "version": SERIALIZATION_VERSION,

@@ -1,18 +1,25 @@
 """Fourier index matrices: symmetric, integral, even diagonal, psd.
 
 The same shape serves two roles: as the index of a Fourier coefficient and as
-the target Gram matrix of a representation count (GramTarget).  Matrices are
-stored as nested tuples so they are hashable dictionary keys.
+the target Gram matrix of a representation count (GramTarget).  One matrix
+is taken as nested int tuples (`as_entries`); the index table of a genus and
+trace bound is one read-only K x g x g int16 array (`enumerate_indices`).
 """
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+
+# the largest max_trace of an index table: its entries are int16
+MAX_TABLE_TRACE = 32766
 
 
 class InvalidIndexError(ValueError):
@@ -20,8 +27,14 @@ class InvalidIndexError(ValueError):
 
 
 def as_entries(mat) -> tuple:
-    """Normalize a matrix-like (nested sequence or numpy array) to int tuples."""
-    rows = tuple(tuple(int(x) for x in row) for row in mat)
+    """Normalize a matrix-like (nested sequence or numpy array) to int tuples.
+
+    Each entry is taken by `operator.index`, so a float or a string raises
+    InvalidIndexError instead of being truncated or parsed."""
+    try:
+        rows = tuple(tuple(map(operator.index, row)) for row in mat)
+    except TypeError:
+        raise InvalidIndexError(f"{mat!r} is not an integer matrix") from None
     g = len(rows)
     if any(len(r) != g for r in rows):
         raise InvalidIndexError("matrix must be square")
@@ -103,10 +116,6 @@ def _border(state, row):
     return tuple(e + (f,) for e, f in zip(rows, r)) + ((),), pivots + (r[k],)
 
 
-def trace(entries) -> int:
-    return sum(entries[p][p] for p in range(len(entries)))
-
-
 def border_zero_forced(entries) -> bool:
     """True iff a zero corner entry comes with a zero last row and column.
 
@@ -130,21 +139,21 @@ def upper_triangle(entries) -> list:
 
 
 def from_upper_triangle(g: int, values) -> tuple:
+    """The symmetric g x g matrix of a row-major upper triangle, as nested
+    int tuples (`as_entries`, so a non-integral entry raises)."""
     vals = list(values)
     if len(vals) != g * (g + 1) // 2:
         raise InvalidIndexError("wrong number of upper-triangle entries")
-    m = [[0] * g for _ in range(g)]
     it = iter(vals)
-    for p in range(g):
-        for q in range(p, g):
-            v = int(next(it))
-            m[p][q] = m[q][p] = v
-    return as_entries(m)
+    upper = [[next(it) for _ in range(p, g)] for p in range(g)]
+    return as_entries([[upper[min(p, q)][abs(p - q)] for q in range(g)]
+                       for p in range(g)])
 
 
-@lru_cache(maxsize=None)
-def enumerate_indices(g: int, max_trace: int) -> tuple:
-    """All index matrices of genus g with trace <= max_trace, sorted.
+def enumerate_indices(g: int, max_trace: int) -> np.ndarray:
+    """All index matrices of genus g with trace <= max_trace, as one
+    read-only K x g x g int16 array in (trace, diagonal, upper triangle)
+    order, so the output is deterministic.
 
     The matrices grow one row and column at a time: the new diagonal entry
     is even and fits the trace that is left, each entry against an earlier
@@ -153,34 +162,42 @@ def enumerate_indices(g: int, max_trace: int) -> tuple:
     is psd, so a block that fails can only end in matrices that are not
     indices, and cutting its branch loses none.  Each block carries its
     elimination state, so a candidate costs one `_border` step, the new
-    row's, and not a whole elimination.
-    Order: (trace, diagonal, upper triangle), so the output is deterministic.
-    The result is memoized per (g, max_trace) and immutable, so every caller
-    shares one enumeration.
+    row's, and not a whole elimination.  A finished matrix appends its
+    lower triangle, row by row, to one flat int16 buffer, and one lexsort
+    orders the rows.  No entry exceeds max_trace in size, so a max_trace
+    past MAX_TABLE_TRACE is refused before the walk.  Each call walks
+    afresh: `index_table` is the memo.
     """
     if g < 1:
         raise InvalidIndexError("genus must be >= 1")
-    if max_trace < 0 or max_trace % 2 != 0:
-        raise InvalidIndexError(
-            "max_trace must be a non-negative even integer")
-    out = []
+    if not (0 <= max_trace <= MAX_TABLE_TRACE and max_trace % 2 == 0):
+        raise InvalidIndexError(f"max_trace must be an even integer in [0, "
+                                f"{MAX_TABLE_TRACE}]: entries are int16")
+    lower = array.array("h")
 
-    def grow(block, state, left):
-        if len(block) == g:
-            out.append(block)
+    def grow(diag, low, state, left):
+        if len(diag) == g:
+            lower.extend(low)
             return
         for d in range(0, left + 1, 2):
-            bounds = (math.isqrt(d * row[p]) for p, row in enumerate(block))
+            bounds = (math.isqrt(d * e) for e in diag)
             for col in itertools.product(*(range(-b, b + 1) for b in bounds)):
                 grown = _border(state, col + (d,))
                 if grown is not None:
-                    grow(tuple(row + (v,) for row, v in zip(block, col)) +
-                         (col + (d,),), grown, left - d)
+                    grow(diag + (d,), low + col + (d,), grown, left - d)
 
-    grow((), ((), ()), max_trace)
-    out.sort(key=lambda s: (trace(s), tuple(s[p][p] for p in range(g)),
-                            tuple(upper_triangle(s))))
-    return tuple(out)
+    grow((), (), ((), ()), max_trace)
+    low = np.frombuffer(lower, np.int16).reshape(-1, g * (g + 1) // 2)
+    # at[p, q]: the column of entry (p, q) in a row of `low`, which holds
+    # entry (p, q), q <= p, at p (p + 1) / 2 + q
+    i, j = np.indices((g, g))
+    at = np.maximum(i, j) * (np.maximum(i, j) + 1) // 2 + np.minimum(i, j)
+    diag, upper = low[:, at.diagonal()], low[:, at[np.triu_indices(g)]]
+    # lexsort's last key is its first
+    order = np.lexsort((*upper.T[::-1], *diag.T[::-1], diag.sum(1)))
+    mats = low[order].take(at, axis=1)    # C-contiguous, for `orbit_labels`
+    mats.setflags(write=False)
+    return mats
 
 
 def orbit_labels(rows: np.ndarray, images) -> np.ndarray:
@@ -220,11 +237,11 @@ def orbit_labels(rows: np.ndarray, images) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class IndexTable:
-    """enumerate_indices(g, max_trace) as `keys`, a read-only K x g x g int64
-    array `mats`, a key -> row map `rows` and, built on first use, each row's
-    class: class_keys[classes[r]] == canonical_signed_perm(keys[r]), classes
-    numbered by first row.  Every key in `rows` is valid, and a smaller
-    trace's table and classes are prefixes of a larger one's.
+    """enumerate_indices(g, max_trace) as `mats`, one read-only K x g x g
+    int16 array, with `row(key)`, a key's row, and, built on first use, each
+    row's class: class_keys[classes[r]] == canonical_signed_perm(mats[r]),
+    classes numbered by first row.  Every row is a valid index, and a
+    smaller trace's table and classes are prefixes of a larger one's.
 
     The classes are the orbits of the signed slot permutations, which the
     sign flip of slot 0 and the g - 1 adjacent slot swaps generate
@@ -234,17 +251,35 @@ class IndexTable:
     orbit's first row is the canonical key of every row in it, and no row
     is canonicalized here."""
 
-    keys: tuple
     mats: np.ndarray
-    rows: dict
     class_keys = property(lambda self: self._classes[0])
     classes = property(lambda self: self._classes[1])
+
+    def row(self, key):
+        """The row of `key`, or None if the table does not hold it.
+
+        An int16 array is matched by its exact bytes.  Any other key is read
+        by `as_entries`, which raises for a non-integral entry; an entry past
+        int16 is a miss, never a wrapped value."""
+        if not (isinstance(key, np.ndarray) and key.dtype == np.int16
+                and key.shape == self.mats.shape[1:]):
+            key = as_entries(key)
+            if any(abs(v) > MAX_TABLE_TRACE for row in key for v in row):
+                return None
+            key = np.array(key, np.int16)
+        return self._rows.get(key.tobytes())
+
+    @cached_property
+    def _rows(self) -> dict:
+        """Row number by the row's bytes."""
+        return {m.tobytes(): r for r, m in enumerate(self.mats)}
 
     @cached_property
     def _classes(self) -> tuple:
         k, g = self.mats.shape[:2]
         flat = self.mats.reshape(k, g * g)
-        sign = np.where(np.arange(g) == 0, -1, 1)
+        # int16 like the rows: orbit_labels matches images by their bytes
+        sign = np.where(np.arange(g) == 0, -1, 1).astype(np.int16)
 
         def images():
             yield flat * np.multiply.outer(sign, sign).ravel()
@@ -254,17 +289,15 @@ class IndexTable:
 
         labels = orbit_labels(flat, images())
         first = np.flatnonzero(labels == np.arange(k))
-        return (tuple(self.keys[r] for r in first),
+        return (tuple(map(as_entries, self.mats[first].tolist())),
                 tuple(np.searchsorted(first, labels).tolist()))
 
 
 @lru_cache(maxsize=None)
 def index_table(g: int, max_trace: int) -> IndexTable:
-    """The memoized IndexTable of (g, max_trace): one per process."""
-    keys = enumerate_indices(g, max_trace)
-    mats = np.array(keys, dtype=np.int64).reshape(len(keys), g, g)
-    mats.setflags(write=False)
-    return IndexTable(keys, mats, {s: r for r, s in enumerate(keys)})
+    """The memoized IndexTable of (g, max_trace): one per process, and the
+    one memo of `enumerate_indices`."""
+    return IndexTable(enumerate_indices(g, max_trace))
 
 
 def transform(entries, u) -> tuple:

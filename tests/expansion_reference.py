@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from index_rows import trace
 from schottky_workbench import expansion, fay
 from schottky_workbench.expansion import DerivativePolynomial as Poly
 from schottky_workbench.expansion import SiegelPoint
@@ -30,10 +31,6 @@ def phase_trace(s, tau, g=None) -> complex:
         for q in range(p + 1, n):
             total += 2 * s[p][q] * complex(tau[p][q])
     return total
-
-
-def trace(s) -> int:
-    return sum(s[p][p] for p in range(len(s)))
 
 
 def combine(f1, f2, op) -> dict:

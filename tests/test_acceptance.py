@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import expansion_reference as ref
+from index_rows import index_tuples
 from schottky_workbench import indices as idx
 from schottky_workbench.cache import CountCache
 from schottky_workbench.counting import CountEngine
@@ -193,7 +194,7 @@ def test_criterion_08_scaling_law(cache):
 def test_criterion_09_semi_positivity():
     total = 0
     for g in (1, 2, 3, 4):
-        for s in idx.enumerate_indices(g, 8):
+        for s in index_tuples(g, 8):
             assert idx.border_zero_forced(s)
             total += 1
     _report(9, True,

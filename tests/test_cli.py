@@ -311,6 +311,18 @@ def test_cache_stats_and_verify(capsys, tmp_path, monkeypatch):
     jsonschema.validate(doc, schema)
 
 
+def test_verify_cache_refuses_a_non_integral_key(capsys, tmp_path):
+    # a key entry of 2.5 is not read as 2, whose count the record holds
+    for u in ("[2.5]", '["2"]'):
+        bad = CountCache(tmp_path / "float.jsonl")
+        bad.put("E8", '{"g":1,"u":%s}' % u, 240)
+        code, doc = run(capsys, "cache-stats", "--verify-cache",
+                        "--fraction", "1", "--cache", bad.path)
+        assert code == 2 and doc.keys() == {"error"}, u
+        assert "is not an index" in doc["error"]
+        (tmp_path / "float.jsonl").unlink()
+
+
 def test_usage_error_is_machine_readable(capsys, tmp_path):
     code, doc = run(capsys, "eval", "--lattice", "E8", "--genus", "1",
                     "--tau", "garbage", "--max-trace", "4")

@@ -9,9 +9,11 @@ already holds its counts.
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import expansion_reference as ref
+from index_rows import index_tuples
 from schottky_workbench import indices as idx
 from schottky_workbench.expansion import (FourierExpansion, SiegelPoint,
                                           TruncationError, evaluate)
@@ -33,16 +35,15 @@ def test_columnar_layer_matches_reference(e8_thetas, g):
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_tables_are_prefixes_and_phi_is_a_row_mask(g):
     for top in (8, 10):
-        full = idx.index_table(g, top)
+        full = index_tuples(g, top)
         for t in range(0, top, 2):
-            assert idx.index_table(g, t).keys == \
-                full.keys[:len(idx.index_table(g, t).keys)]
+            assert index_tuples(g, t) == full[:len(index_tuples(g, t))]
         if g >= 2:
-            bordered = [s for s in full.keys
+            bordered = [s for s in full
                         if not any(s[g - 1][q] for q in range(g))]
             minors = tuple(tuple(row[: g - 1] for row in s[: g - 1])
                            for s in bordered)
-            assert minors == idx.index_table(g - 1, top).keys
+            assert minors == index_tuples(g - 1, top)
 
 
 @pytest.mark.parametrize("g,top", [(1, 8), (2, 8), (3, 8), (4, 8), (5, 6),
@@ -52,10 +53,10 @@ def test_class_column_holds_each_rows_canonical_key(g, top):
     assert len(set(full.class_keys)) == len(full.class_keys)
     for t in range(0, top + 1, 2):
         table = idx.index_table(g, t)
-        for r, s in enumerate(table.keys):
+        for r, s in enumerate(index_tuples(g, t)):
             assert table.class_keys[table.classes[r]] == \
                 idx.canonical_signed_perm(s)
-        assert table.classes == full.classes[:len(table.keys)]
+        assert table.classes == full.classes[:len(table.mats)]
         assert table.class_keys == full.class_keys[:len(table.class_keys)]
 
 
@@ -80,14 +81,23 @@ def test_class_counts():
 
 def test_table_arrays_match_keys():
     t = idx.index_table(3, 6)
-    assert t.mats.shape == (len(t.keys), 3, 3) and not t.mats.flags.writeable
-    assert [tuple(map(tuple, m)) for m in t.mats.tolist()] == list(t.keys)
-    assert all(t.rows[s] == r for r, s in enumerate(t.keys))
+    assert t.mats.shape == (104, 3, 3) and t.mats.dtype == np.int16
+    assert not t.mats.flags.writeable
+    # an int16 row by its bytes, any other key by its entries
+    assert all(t.row(m) == r for r, m in enumerate(t.mats))
+    assert all(t.row(s) == r for r, s in enumerate(index_tuples(3, 6)))
+    assert all(t.row(m.astype(np.int64)) == r for r, m in enumerate(t.mats))
+    # a miss: beyond the trace, or another genus; a flat row is no matrix
+    assert t.row(((8, 0, 0), (0, 0, 0), (0, 0, 0))) is None
+    assert t.row(((2, 0), (0, 0))) is None
+    assert t.row(t.mats[-1, :2, :2]) is None
+    with pytest.raises(idx.InvalidIndexError):
+        t.row(t.mats[0].ravel())
 
 
 def test_column_is_exact_and_read_only(e8_thetas):
     f = e8_thetas[2]
-    assert f.column.dtype == object and len(f.column) == len(f.table.keys)
+    assert f.column.dtype == object and len(f.column) == len(f.table.mats)
     assert all(type(a) is int for a in f.column)
     assert all(type(a) is Fraction for a in f.scale(Fraction(1, 3)).column)
     big = f.scale(2**70) + f
@@ -107,15 +117,41 @@ def test_table_hits_are_not_validated(e8_thetas, monkeypatch):
         return real(key, *args, **kwargs)
 
     monkeypatch.setattr(idx, "validate_index", counting)
-    for s in f.table.keys:
+    for s in f.table.mats:
+        f.coefficient(s)
+    for s in index_tuples(3, 8):
         f.coefficient(s)
     FourierExpansion(3, 4, 8, dict(f.coeffs))
     assert FourierExpansion.loads(f.dumps()) == f
     f - f.scale(2)
-    assert calls == []
-    # a key that misses the row map is validated once
+    # a list finds its row by its entries, too
     assert f.coefficient([[2, 0, 0], [0, 0, 0], [0, 0, 0]]) == 240
+    assert calls == []
+    # a key that misses the table is validated once
+    with pytest.raises(TruncationError):
+        f.coefficient([[10, 0, 0], [0, 0, 0], [0, 0, 0]])
     assert len(calls) == 1
+
+
+def test_keys_past_int16_miss_the_table(e8_thetas):
+    # 65538 = 2 mod 2**16: a key past int16 misses, and never reads the
+    # coefficient of the int16 value it would wrap to
+    f = e8_thetas[1]
+    assert f.coefficient(((2,),)) == 240
+    for key in (((65538,),), np.array([[65538]], dtype=np.int64)):
+        assert f.table.row(key) is None
+        with pytest.raises(TruncationError):
+            f.coefficient(key)
+
+
+def test_non_integral_keys_are_refused(e8_thetas):
+    # a float entry is not truncated to the index it would round down to
+    f = e8_thetas[1]
+    for key in ([[2.9]], np.array([[2.0]]), [["2"]]):
+        with pytest.raises(idx.InvalidIndexError):
+            f.coefficient(key)
+    with pytest.raises(idx.InvalidIndexError):
+        FourierExpansion(1, 4, 8, {((2.5,),): 1})
 
 
 def test_invalid_and_truncated_keys_still_raise(e8_thetas):

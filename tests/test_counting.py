@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from index_rows import index_tuples, trace
 from schottky_workbench import counting, indices as idx, lattices, theta
 from schottky_workbench.cache import CountCache
 from schottky_workbench.counting import CountEngine
@@ -152,7 +153,7 @@ def test_diagonal_sum_rule(e8, genus):
     # of norms d: the product of the shell sizes
     eng = CountEngine(e8)
     totals = collections.Counter()
-    for s in idx.enumerate_indices(genus, 8):
+    for s in index_tuples(genus, 8):
         totals[tuple(s[p][p] for p in range(genus))] += eng.count(s)
     assert totals
     for diag, total in totals.items():
@@ -163,7 +164,7 @@ def test_genus3_counts_match_naive_loop(e8):
     eng = CountEngine(e8)
     shells = short_vector_shells(e8, 2)[2].astype(np.int64)
     gram = shells @ e8.gram_array @ shells.T
-    targets = [s for s in idx.enumerate_indices(3, 6)
+    targets = [s for s in index_tuples(3, 6)
                if (s[0][0], s[1][1], s[2][2]) == (2, 2, 2)]
     assert len(targets) == 49
     for s in targets:
@@ -180,6 +181,16 @@ def test_zero_diagonal_reduction(e8):
     assert eng.count(((0, 0), (0, 0))) == 1
     with pytest.raises(ValueError):
         eng.count(((0, 1), (1, 2)))  # not psd
+
+
+def test_non_integral_target_is_refused(e8, tmp_path):
+    # 2.5 is not truncated to 2: the count refuses it before any cache read
+    cache = CountCache(tmp_path / "counts.jsonl")
+    eng = CountEngine(e8, cache)
+    for target in ([[2.5]], ((2, 0.5), (0.5, 2)), [["2"]]):
+        with pytest.raises(idx.InvalidIndexError):
+            eng.count(target)
+    assert eng.calls == 0 and not (tmp_path / "counts.jsonl").exists()
 
 
 def test_cauchy_schwarz_equality_reduction(e8):
@@ -220,7 +231,7 @@ def test_gl_invariance_of_counts(e8):
             if abs(round(np.linalg.det(u))) != 1:
                 continue
             t = idx.transform(s, tuple(map(tuple, u)))
-            if idx.trace(t) > 12:
+            if trace(t) > 12:
                 continue
             assert eng.count(t) == base
     # at genus 5 the basis (e0 + e1, e1, e2, e3, e4) moves D5 to a matrix of
@@ -249,7 +260,7 @@ def test_canonical_key_equals_uncanonicalized(e8):
     # the counted class
     eng = CountEngine(e8)
     for g in (2, 3):
-        for s in idx.enumerate_indices(g, 4):
+        for s in index_tuples(g, 4):
             for t in _signed_permutations(s):
                 assert eng.count(t) == CountEngine(e8)._compute(t)
 
@@ -301,7 +312,7 @@ def _trivial_orbits(n):
 def _d16_classes():
     """The first five D16+ (2, 2, 4) indices that Cauchy-Schwarz does not
     reduce to genus 2."""
-    return [s for s in idx.enumerate_indices(3, 8)
+    return [s for s in index_tuples(3, 8)
             if (s[0][0], s[1][1], s[2][2]) == (2, 2, 4)
             and abs(s[0][1]) < 2][:5]
 
@@ -334,8 +345,8 @@ def test_trivial_orbits_count_the_same(e8, d16, monkeypatch):
     # shell: the unweighted slot 0 is the orbit weighting's oracle; the
     # genus-5 root systems A5 and D5 run the recursion through four slots
     targets = {
-        e8: list(idx.enumerate_indices(3, 6)) +
-        [s for s in idx.enumerate_indices(4, 8)
+        e8: list(index_tuples(3, 6)) +
+        [s for s in index_tuples(4, 8)
          if all(s[p][p] == 2 for p in range(4))] + [A5, D5],
         d16: _d16_classes(),
     }
@@ -349,7 +360,7 @@ def test_trivial_orbits_count_the_same(e8, d16, monkeypatch):
 def test_trivial_later_orbits_count_the_same(e8, d16, monkeypatch):
     # the same oracle for the slots after slot 0: each runs over all its
     # candidates, while slot 0 keeps its orbits
-    targets = {e8: list(idx.enumerate_indices(3, 6)) + [A5, D5],
+    targets = {e8: list(index_tuples(3, 6)) + [A5, D5],
                d16: _d16_classes()}
     got, want = _counts_with_trivial(
         monkeypatch, "reflection_orbits",

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from index_rows import as_tuples, index_tuples, trace
 from schottky_workbench import indices as idx
 from schottky_workbench.cache import index_key
 
@@ -28,7 +29,7 @@ def _brute_indices_genus2(max_trace):
 
 
 def test_enumerate_genus2_matches_brute_force():
-    got = set(idx.enumerate_indices(2, 4))
+    got = set(as_tuples(idx.enumerate_indices(2, 4)))
     assert got == _brute_indices_genus2(4)
     assert len(idx.enumerate_indices(2, 4)) == 10
 
@@ -78,7 +79,7 @@ def _box_indices(g, max_trace):
                 m[p][q] = m[q][p] = v
             if _column_pivots(m) is not None:
                 out.append(idx.as_entries(m))
-    out.sort(key=lambda s: (idx.trace(s), tuple(s[p][p] for p in range(g)),
+    out.sort(key=lambda s: (trace(s), tuple(s[p][p] for p in range(g)),
                             tuple(idx.upper_triangle(s))))
     return tuple(out)
 
@@ -86,25 +87,22 @@ def _box_indices(g, max_trace):
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_row_walk_matches_box(g):
     for max_trace in range(0, 10, 2):
-        assert idx.enumerate_indices(g, max_trace) == \
+        assert as_tuples(idx.enumerate_indices(g, max_trace)) == \
             _box_indices(g, max_trace), (g, max_trace)
 
 
 def test_row_walk_carries_its_own_elimination(monkeypatch):
     # the walk grows each block's elimination state one row at a time: it
-    # runs no whole psd test
+    # runs no whole psd test; enumerate_indices keeps no memo, so each call
+    # is a fresh walk
     def forbidden(*args, **kwargs):
         raise AssertionError("the walk ran a whole psd test")
 
-    idx.enumerate_indices.cache_clear()
     monkeypatch.setattr(idx, "is_psd", forbidden)
     monkeypatch.setattr(idx, "psd_pivots", forbidden)
-    try:
-        for g, max_trace in ((4, 8), (5, 6)):
-            assert idx.enumerate_indices(g, max_trace) == \
-                _box_indices(g, max_trace), (g, max_trace)
-    finally:
-        idx.enumerate_indices.cache_clear()
+    for g, max_trace in ((4, 8), (5, 6)):
+        assert as_tuples(idx.enumerate_indices(g, max_trace)) == \
+            _box_indices(g, max_trace), (g, max_trace)
 
 
 def test_enumeration_counts():
@@ -115,10 +113,13 @@ def test_enumeration_counts():
 
 def test_enumeration_deterministic_order():
     a = idx.enumerate_indices(2, 6)
-    assert a == idx.enumerate_indices(2, 6)
-    assert isinstance(a, tuple)      # memoized and shared, so immutable
-    keys = [(idx.trace(s), tuple(s[p][p] for p in range(2)),
-             tuple(idx.upper_triangle(s))) for s in a]
+    assert np.array_equal(a, idx.enumerate_indices(2, 6))
+    # one int16 array, shared through index_table, so read-only
+    assert a.dtype == np.int16 and not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0, 0] = 2
+    keys = [(trace(s), tuple(s[p][p] for p in range(2)),
+             tuple(idx.upper_triangle(s))) for s in as_tuples(a)]
     assert keys == sorted(keys)
 
 
@@ -146,12 +147,12 @@ def test_validate_rejects_bad_matrices():
 
 def test_border_zero_forced_exhaustive():
     for g in (2, 3):
-        for s in idx.enumerate_indices(g, 6):
+        for s in index_tuples(g, 6):
             assert idx.border_zero_forced(s)
 
 
 def test_upper_triangle_round_trip():
-    for s in idx.enumerate_indices(3, 4):
+    for s in index_tuples(3, 4):
         assert idx.from_upper_triangle(3, idx.upper_triangle(s)) == s
 
 
@@ -160,12 +161,12 @@ def test_transform_preserves_counted_class():
     u = ((1, 1), (0, 1))
     t = idx.transform(s, u)
     assert t == ((2, 3), (3, 8))
-    assert idx.trace(t) % 2 == 0 and idx.is_psd(t)
+    assert trace(t) % 2 == 0 and idx.is_psd(t)
 
 
 def test_canonical_signed_perm_invariance():
     rng = random.Random(7)
-    for s in idx.enumerate_indices(3, 6)[::7]:
+    for s in index_tuples(3, 6)[::7]:
         canon = idx.canonical_signed_perm(s)
         g = len(s)
         for _ in range(5):
@@ -192,8 +193,8 @@ def test_orbit_labels_are_least_indices():
 
 
 def test_even_diagonal_and_trace_bounds():
-    for s in idx.enumerate_indices(2, 6):
-        assert idx.trace(s) <= 6
+    for s in index_tuples(2, 6):
+        assert trace(s) <= 6
         assert all(s[p][p] % 2 == 0 for p in range(2))
     with pytest.raises(ValueError):
         idx.enumerate_indices(2, 5)
@@ -201,10 +202,36 @@ def test_even_diagonal_and_trace_bounds():
         idx.enumerate_indices(0, 4)
 
 
+def test_int16_table_bounds(monkeypatch):
+    # the table is int16: its last genus-1 row is the largest trace, and a
+    # trace past 32766 is refused before the walk takes a step
+    top = idx.enumerate_indices(1, 32766)
+    assert top.dtype == np.int16 and len(top) == 16384
+    assert top[-1].tolist() == [[32766]]
+
+    def forbidden(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(idx, "_border", forbidden)
+    with pytest.raises(idx.InvalidIndexError, match="int16"):
+        idx.enumerate_indices(1, 32768)
+
+
+def test_non_integral_entries_are_refused():
+    # entries are taken by operator.index: a float is not truncated and a
+    # string is not parsed
+    for bad in ([[2.7]], [["4"]], [[2, 0.0], [0.0, 2]], [[np.float64(2)]]):
+        with pytest.raises(idx.InvalidIndexError, match="not an integer matrix"):
+            idx.validate_index(bad)
+    with pytest.raises(idx.InvalidIndexError):
+        idx.from_upper_triangle(1, [2.5])
+    assert idx.validate_index(np.array([[2, 1], [1, 2]])) == ((2, 1), (1, 2))
+
+
 def test_off_diagonal_box_is_tight():
     # entries on the Cauchy-Schwarz boundary must appear
-    assert ((2, 2), (2, 2)) in idx.enumerate_indices(2, 4)
-    assert ((2, -2), (-2, 2)) in idx.enumerate_indices(2, 4)
+    assert ((2, 2), (2, 2)) in index_tuples(2, 4)
+    assert ((2, -2), (-2, 2)) in index_tuples(2, 4)
 
 
 # -- oracles for the fast paths ---------------------------------------------
@@ -241,14 +268,14 @@ def _key(s):
 
 def test_canonical_matches_brute_force_up_to_genus3():
     for g in (1, 2, 3):
-        for s in idx.enumerate_indices(g, 8):
+        for s in index_tuples(g, 8):
             fast = idx.canonical_signed_perm(s)
             assert fast == _brute_canonical(s), s
             assert _key(fast) == _key(_brute_canonical(s))
 
 
 def test_canonical_matches_brute_force_genus4_sample():
-    for s in idx.enumerate_indices(4, 8)[::7]:
+    for s in index_tuples(4, 8)[::7]:
         assert idx.canonical_signed_perm(s) == _brute_canonical(s), s
 
 
@@ -264,7 +291,7 @@ def test_zero_rows_take_one_order():
     rng = random.Random(3)
     cases = [((0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, -1), (0, 0, -1, 0)),
              ((0, 0, 0), (0, 0, 2), (0, 2, 2))]
-    for s in idx.enumerate_indices(2, 6):
+    for s in index_tuples(2, 6):
         for zeros in itertools.combinations(range(4), 2):
             rest = iter((0, 1))
             at = [None if p in zeros else next(rest) for p in range(4)]
@@ -300,7 +327,7 @@ def test_canonical_cache_keys_frozen(s, key):
 @st.composite
 def _index_and_move(draw):
     g = draw(st.integers(1, 4))
-    s = draw(st.sampled_from(idx.enumerate_indices(g, 8)))
+    s = draw(st.sampled_from(index_tuples(g, 8)))
     perm = draw(st.permutations(range(g)))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=g, max_size=g))
     return s, perm, signs

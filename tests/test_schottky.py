@@ -6,6 +6,7 @@ the same machinery is exercised at smaller truncations.
 
 import pytest
 
+from index_rows import index_tuples
 from schottky_workbench import indices as idx
 from schottky_workbench import schottky
 from schottky_workbench.expansion import FourierExpansion
@@ -51,7 +52,7 @@ def test_views_of_one_scan_on_a_nonzero_difference(monkeypatch):
     # a stand-in difference with two nonzero coefficients checks that the
     # views report what the early-exit scans did: the first offender, and
     # `checked` counting up to it
-    order = idx.enumerate_indices(2, 4)
+    order = index_tuples(2, 4)
     first, later = order[3], order[7]
     fake = FourierExpansion(2, 8, 4, {first: -5, later: 7})
     builds = []

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from index_rows import index_tuples
 from schottky_workbench import counting, lattices, theta
 from schottky_workbench import indices as idx
 from schottky_workbench.cache import CountCache
@@ -272,7 +273,7 @@ def test_class_counts_match_a_count_per_row(name, g, top, tmp_path, request):
     # order in a cold file cache
     lat = request.getfixturevalue(name)
     engine = counting.CountEngine(lat, CountCache(tmp_path / "rows.jsonl"))
-    column = [engine.count(s) for s in idx.index_table(g, top).keys]
+    column = [engine.count(s) for s in index_tuples(g, top)]
     f = theta_expansion(lat, g, top, CountCache(tmp_path / "classes.jsonl"))
     assert list(f.column) == column
     assert (tmp_path / "classes.jsonl").read_bytes() == \
