@@ -164,15 +164,11 @@ _WALK_ROWS = 1 << 12
 # genus >= 3)
 _BLOCK_ENTRIES = 1 << 15
 
-# the least pad of a walk interval, 1e-7 (1 + |c|): it covers a center's
-# float error, which `_prefix_walk` bounds in units of float64's roundoff
-_PAD = 1e-7
-_ROUNDOFF = 2.0 ** -53
 
-
-def _center_rows(gram: np.ndarray) -> list:
-    """Row 0 of G[i:, i:]^-1 for i = 0..n-2, each entry an exact rational
-    rounded once to float64.
+def _center_rows(gram: np.ndarray):
+    """(D, a) in Python ints: D_i = det G[i:, i:] for i = 0..n (D_n = 1),
+    and a_i = D_i (row 0 of G[i:, i:]^-1), the adjugate's row 0, for
+    i = 0..n-1.
 
     One fraction-free elimination of [G | I] from its last coordinate, by
     the update of `indices._border` with the pivots taken n-1 down to 1.
@@ -180,9 +176,8 @@ def _center_rows(gram: np.ndarray) -> list:
     U_ii D_ii U_ii^T and row 0 of its inverse is (U^-1)[i, i:] / d_i.  Once
     the pivots after i are used, row i is det G[i+1:, i+1:] times
     [(D U^T)[i] | (U^-1)[i]], whose diagonal entry d_i det G[i+1:, i+1:] is
-    det G[i:, i:].  So the row is the identity part of row i over its
-    diagonal entry, a quotient of Python ints, which `/` rounds correctly.
-    G is positive definite, so no pivot is 0.
+    D_i; so its identity part is a_i.  G is positive definite, so no pivot
+    is 0.
     """
     n = len(gram)
     m = [row + [int(r == c) for c in range(n)]
@@ -194,151 +189,124 @@ def _center_rows(gram: np.ndarray) -> list:
             f = m[r][k]
             m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], row)]
         prev = p
-    return [[a / m[i][i] for a in m[i][n + i:]] for i in range(n - 1)]
+    return [m[i][i] for i in range(n)] + [1], [m[i][n + i:] for i in range(n)]
 
 
-def _prefix_walk(gram: np.ndarray, max_norm: int):
-    """Blocks of every prefix (x_0..x_{n-2}) that can reach norm <= max_norm.
+def _vectors(gram: np.ndarray, max_norm: int):
+    """Blocks of every lexicographically positive x (first nonzero
+    coordinate > 0) with x^T G x <= max_norm, in lexicographic order, with
+    no coordinates built: (trail, rep, xi, norms) per block, its trail and,
+    per vector, its prefix row, its int64 last coordinate and its exact
+    int64 norm.  Every other vector of the ellipsoid is 0 or the negation
+    of one of these.
 
-    Coordinates are filled first to last.  A prefix carries exact integer
-    state: q = x_p^T G_pp x_p and h = (G x_p) on the unfilled coordinates u.
-    Given the prefix, the real minimum of the norm over x_u is reached at
-    -G_uu^{-1} h; its first coordinate is the center of the next interval,
-    and the minimum itself is the carried float `partial`.  Each interval
-    is padded by small float slack, so the walk can only overproduce
-    prefixes, never lose one.  Each level is expanded in blocks of at most
-    `_WALK_ROWS` new prefixes, walked depth first.  Yields (trail, q, h_last)
-    per block, blocks in lexicographic order: q and h of the last
-    coordinate, and the trail of the block's coordinates, one pair
-    (parent row, int16 value) per filled coordinate i: entry i maps each
-    prefix of level i to its row at level i - 1 and its x_i.
+    Coordinates are filled first to last by one exact integer rule.  With
+    D_i and a_i from `_center_rows`, a prefix (x_0..x_{i-1}) carries h = G
+    x_p on the open coordinates u = (i..n-1) and F = D_i times the least
+    norm of its completions, D_i q - h^T adj(G_uu) h (q = x_p^T G_pp x_p).
+    Given x_i = x, that least norm is (F + t^2 / D_{i+1}) / D_i with t =
+    D_i x + a_i h, so x runs over |t| <= isqrt(D_{i+1} (D_i max_norm - F))
+    and the child carries F' = (D_{i+1} F + t^2) / D_i, an exact division.
+    D_n = 1, so at the last coordinate F' is the norm.  The walk keeps
+    exactly the prefixes with a completion of norm <= max_norm: no pad and
+    no norm filter.  G is positive definite, so F = 0 on the zero prefix
+    alone, where x_i starts at 0 and the last coordinate at 1; the zero
+    prefix is thus row 0 of the first block at every level.
 
-    A level holds no coordinates and no float temporaries while the walk
-    descends: its block's q, h and partial, the block boundaries of its
-    children and its trail entry.  h is kept only on the open coordinates
-    k that a filled one touches (G[:i, k] != 0 at level i), fixed per
-    level by the zero pattern of G; every other entry is identically zero.
-    On E8, E8 + E8 and D16+ that is at most 2 columns.
+    Each level is expanded in blocks of at most `_WALK_ROWS` new prefixes,
+    walked depth first; the last level expands its parents' block at once.
+    A trail holds one pair (parent row, int16 value) per filled coordinate
+    j < n - 1: entry j maps each prefix of level j + 1 to its row at level
+    j and its x_j.  A level holds no coordinates while the walk descends:
+    its block's F and h, the block boundaries of its children and its trail
+    entry.  h is kept only on the open coordinates k that a filled one
+    touches (G[:i, k] != 0 at level i), fixed per level by the zero pattern
+    of G; every other entry is identically zero.  On E8, E8 + E8 and D16+
+    that is at most 2 columns.
 
-    Only the zero prefix and the lexicographically positive prefixes (first
-    nonzero coordinate > 0) are walked; their negations are the rest.  G is
-    positive definite, so q = 0 holds on the zero prefix alone, and its next
-    coordinate starts at 0.  The zero prefix is thus row 0 of the first
-    block at every level.
-
-    Exactness of the centers: the rows of G_uu^-1 are exact rationals
-    rounded once (`_center_rows`).  Under `_expand`'s cap |x| <= 32767, at
-    level i each live |h_k| is at most r_k = 32767 sum_{j<i} |G_jk|, and c
-    = sum_k h_k w_k is formed from L live products, so its float error is
-    at most gamma_{L+1} sum_k |w_k| r_k, gamma_j = j u / (1 - j u) with u =
-    2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-    section 3.1); about 3e-11 on D16+.  The walk checks once, before it
-    walks any prefix, that this stays below 1e-7, the least pad, and that
-    every r_k is below 2**53, so h is exact in int64 and in float64;
-    otherwise it raises ArithmeticError.
+    Exactness, checked before any prefix is expanded: a walked F is at most
+    D_i max_norm, so every intermediate is at most D_i D_{i+1} max_norm;
+    under `_expand`'s cap |x| <= 32767 each |h_k| is at most r_k = 32767
+    sum_{j<i} |G_jk|, so |a_i h| is at most sum_k |a_ik| r_k.  Where these
+    bounds, or that sum plus D_i 2**16, reach 2**63 the walk raises
+    LatticeError.  The radicand is capped at (D_i 2**16)^2: an interval
+    wider than that holds a value past int16, which `_expand` refuses as it
+    would the whole interval.  A capped radicand at or above 2**52 raises
+    ArithmeticError in `_isqrt`.
     """
+    gram = np.asarray(gram, dtype=np.int64)
     n = gram.shape[0]
-    bound = float(max_norm) + 0.25
+    dets, rows = _center_rows(gram)
     # the columns of h at level i: the open coordinates a filled one touches
-    live = [np.flatnonzero(gram[:i, i:].any(axis=0)) + i for i in range(n)]
+    live = [np.flatnonzero(gram[:i, i:].any(axis=0)) + i
+            for i in range(n + 1)]
     levels = []
-    for i, row in enumerate(_center_rows(gram)):
-        # row 0 of G_uu^{-1} for u = (i..n-1): its entry 0 is 1 / (the LDL
-        # pivot of x_i), and minus its product with h is the center of x_i
-        w = np.array(row)[live[i] - i]
-        reach = 32767 * np.abs(gram[:i, live[i]]).sum(axis=0)
-        gamma = (len(w) + 1) * _ROUNDOFF / (1 - (len(w) + 1) * _ROUNDOFF)
-        if reach.max(initial=0) >= 1 << 53 or \
-                gamma * float((np.abs(w) * reach).sum()) >= _PAD:
-            raise ArithmeticError(
-                f"the float error of a level-{i} center could reach the "
-                f"interval pad {_PAD}")
-        at = {k: j for j, k in enumerate(live[i].tolist())}
+    for i in range(n):
+        d, d1, cols = dets[i], dets[i + 1], live[i].tolist()
+        a = [rows[i][k - i] for k in cols]
+        reach = [32767 * int(np.abs(gram[:i, k]).sum()) for k in cols]
+        if max(d * d1 * int(max_norm), *reach,
+               sum(abs(x) * r for x, r in zip(a, reach)) + (d << 16)) \
+                >= 1 << 63:
+            raise LatticeError(f"the walk to norm {max_norm} could pass "
+                               f"int64 at coordinate {i}")
+        at = {k: j for j, k in enumerate(cols)}
         # each column of level i + 1: its column at level i (None if it
         # opens now) and its coefficient G_ik of x_i
         moves = [(at.get(k), int(gram[i, k])) for k in live[i + 1].tolist()]
-        levels.append((w, row[0], at.get(i), moves))
+        # the radicand's cap: `_isqrt` refuses _SQRT_EXACT and above anyway
+        levels.append((d, d1, np.array(a, dtype=np.int64),
+                       min((d << 16) ** 2, _SQRT_EXACT), moves))
 
-    def interval(i, q, h, partial):
-        """the center c of x_i on these prefixes and its padded interval
-        [lo, hi]; elementwise, so a slice of a block gets the same floats
-        as the whole block"""
-        w, w0 = levels[i][:2]
-        c = np.zeros(len(q))
-        for j, wj in enumerate(w):
-            c += h[:, j] * wj
-        radius = np.sqrt(np.maximum(bound - partial, 0.0) * w0)
-        pad = _PAD * (1.0 + np.abs(c))
-        lo = np.ceil(-c - radius - pad).astype(np.int64)
-        hi = np.floor(-c + radius + pad).astype(np.int64)
-        lo[q == 0] = 0
-        return c, lo, hi
+    def interval(i, f, h):
+        """s = a_i h and the interval [lo, hi] of x_i on these prefixes;
+        elementwise, so a slice of a block gets the values of the whole"""
+        d, d1, a, cap = levels[i][:4]
+        s = h @ a
+        r = _isqrt(np.minimum(d1 * (d * max_norm - f), cap))
+        lo = -((s + r) // d)
+        lo[f == 0] = int(i == n - 1)
+        return s, lo, (r - s) // d
 
-    def descend(i, trail, q, h, partial):
+    def child(i, f, s, rep, xi):
+        """F' of each child (parent row, x_i)"""
+        d, d1 = levels[i][:2]
+        t = d * xi + s[rep]
+        return (d1 * f[rep] + t * t) // d
+
+    def descend(i, trail, f, h):
+        s, lo, hi = interval(i, f, h)
         if i == n - 1:
-            # h has at most one column now: that of the last coordinate
-            yield trail, q, h[:, 0] if h.shape[1] else np.zeros_like(q)
+            rep, xi = _expand(lo, hi)
+            yield trail, rep, xi, child(i, f, s, rep, xi)
             return
-        # a level keeps only its block boundaries: each block's centers and
-        # intervals are formed again from its own parents
-        lo, hi = interval(i, q, h, partial)[1:]
+        # a level keeps only its block boundaries: each block's intervals
+        # are formed again from its own parents
         ends = np.cumsum(np.maximum(hi - lo + 1, 0))
-        del lo, hi
-        w0, at, moves = levels[i][1:]
+        del s, lo, hi
+        moves = levels[i][4]
         b = 0
         while b < len(ends):
             # the next parents whose children fit in one block
             e = int(np.searchsorted(ends, (ends[b - 1] if b else 0)
                                     + _WALK_ROWS, "right"))
             e = max(e, b + 1)
-            c, lo, hi = interval(i, q[b:e], h[b:e], partial[b:e])
+            fb, hb = f[b:e], h[b:e]
+            s, lo, hi = interval(i, fb, hb)
             rep, xi = _expand(lo, hi)
-            y = xi + c[rep]
-            rep += b
-            hx = 0 if at is None else h[rep, at]
-            qb = q[rep] + xi * (gram[i, i] * xi + 2 * hx)
-            hb = np.empty((len(rep), len(moves)), dtype=np.int64)
+            fc = child(i, fb, s, rep, xi)
+            hc = np.empty((len(rep), len(moves)), dtype=np.int64)
             for j, (src, gik) in enumerate(moves):
-                hb[:, j] = gik * xi
+                hc[:, j] = gik * xi
                 if src is not None:
-                    hb[:, j] += h[rep, src]
-            pb = partial[rep] + y * y / w0
-            step = (rep, xi.astype(np.int16))
-            del c, lo, hi, y, hx, xi
-            yield from descend(i + 1, trail + (step,), qb, hb, pb)
+                    hc[:, j] += hb[rep, src]
+            step = (rep + b, xi.astype(np.int16))
+            del s, lo, hi, rep, xi
+            yield from descend(i + 1, trail + (step,), fc, hc)
             b = e
 
     yield from descend(0, (), np.zeros(1, dtype=np.int64),
-                       np.zeros((1, 0), dtype=np.int64), np.zeros(1))
-
-
-def _vectors(gram: np.ndarray, max_norm: int):
-    """Blocks of every lexicographically positive x (first nonzero
-    coordinate > 0) with x^T G x <= max_norm, in lexicographic order, with
-    no coordinates built: (trail, rep, xi, norms), the block's trail from
-    `_prefix_walk` and, per vector, its prefix row, its int64 last
-    coordinate and its exact int64 norm.
-
-    Every other vector of the ellipsoid is 0 or the negation of one of
-    these, and G is positive definite, so only 0 has norm 0.
-    `_prefix_walk` fills every coordinate but the last, x, which ranges
-    over the exact integer interval of a x^2 + 2 h x + q <= max_norm
-    (a = G_ll) with ends from `_isqrt`, so no norm needs a filter; on
-    the zero prefix (q = 0) it starts at 1.  Memory is the walk's bounded
-    state plus one block.  A coordinate with |x| > 32767 raises
-    LatticeError, and a discriminant at or above 2**52 ArithmeticError.
-    """
-    gram = np.asarray(gram, dtype=np.int64)
-    n = gram.shape[0]
-    a = int(gram[n - 1, n - 1])
-    for trail, q, h in _prefix_walk(gram, max_norm):
-        disc = h * h - a * (q - max_norm)
-        r = _isqrt(np.maximum(disc, 0))
-        lo = -((h + r) // a)
-        lo[q == 0] = 1
-        hi = np.where(disc >= 0, (r - h) // a, lo - 1)
-        rep, xi = _expand(lo, hi)
-        yield trail, rep, xi, q[rep] + xi * (a * xi + 2 * h[rep])
+                       np.zeros((1, 0), dtype=np.int64))
 
 
 def _prefix_columns(trail):

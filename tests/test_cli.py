@@ -415,6 +415,18 @@ def test_rejected_options_exit_2_with_an_error_document(capsys):
     assert "unknown lattice id 'E7'" in doc["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["lattice-enum", "--lattice", "E8", "--max-norm", str(2 ** 62),
+     "--vectors"],
+    ["eval", "--lattice", "E8", "--genus", "1", "--max-trace", "2",
+     "--budget", str(2 ** 62), "--tau", "1.2i"],
+], ids=["lattice-enum", "eval"])
+def test_walks_past_int64_exit_2_with_an_error_document(capsys, argv):
+    # E8 to norm 2**62 could carry 4 * 2**62 in the walk: refused before it
+    # starts, as an input error
+    assert "int64" in _error_line(capsys, argv)["error"]
+
+
 def test_help_exits_0_with_its_text(capsys):
     assert main(["lattice-enum", "--help"]) == 0
     assert "--max-norm" in capsys.readouterr().out

@@ -182,6 +182,17 @@ def _enumerate_array(gram, max_norm):
                       [len(v) for v in shells.values()]))
 
 
+def _skew(k):
+    """2 x_0^2 + 2 (x_1 + k x_0)^2: its norm-2 vectors are +-(1, -k),
+    +-(0, 1), and its trailing minors D_i = det G[i:, i:] are 4, 2, 1."""
+    return np.array([[2 * k * k + 2, 2 * k], [2 * k, 2]])
+
+
+def _middle(k):
+    """_skew(k) plus 2 x_2^2, so -k sits in a middle coordinate."""
+    return np.array([[2 * k * k + 2, 2 * k, 0], [2 * k, 2, 0], [0, 0, 2]])
+
+
 def test_expand_refuses_before_it_allocates(monkeypatch):
     # the int16 guard reads the ends of the non-empty intervals, so an
     # interval of 2**40 + 1 integers is refused before np.repeat is asked
@@ -218,33 +229,29 @@ def test_enumeration_refuses_int16_coordinates():
     assert shells[2 * 127 ** 2].ravel().tolist() == [-127, 127]
     with pytest.raises(LatticeError, match="int8"):
         _shells(np.array([[2]]), 2 * 128 ** 2)
-    # 2 x_0^2 + 2 (x_1 + k x_0)^2 has the norm-2 vectors +-(1, -k): the walk
-    # keeps (1, -k) alone, so only a guard on |x| sees the -(1, -k) it drops
-    def skew(k):
-        return np.array([[2 * k * k + 2, 2 * k], [2 * k, 2]])
-    assert _shells(skew(127), 2)[2].tolist() == \
+    # _skew(k) has the norm-2 vectors +-(1, -k): the walk keeps (1, -k)
+    # alone, so only a guard on |x| sees the -(1, -k) it drops
+    assert _shells(_skew(127), 2)[2].tolist() == \
         [[-1, 127], [0, -1], [0, 1], [1, -127]]
     with pytest.raises(LatticeError, match="int8"):
-        _shells(skew(128), 2)
-    assert _shell_counts(skew(32767), 2) == {0: 1, 2: 4}
+        _shells(_skew(128), 2)
+    assert _shell_counts(_skew(32767), 2) == {0: 1, 2: 4}
     with pytest.raises(LatticeError, match="int16"):
-        _shell_counts(skew(32768), 2)
-    # plus 2 x_2^2: now -k sits in a middle coordinate, which is rebuilt
-    # from the walk's trail and not from the last interval
-    def middle(k):
-        return np.array([[2 * k * k + 2, 2 * k, 0], [2 * k, 2, 0], [0, 0, 2]])
-    assert _shells(middle(127), 2)[2].tolist() == [
+        _shell_counts(_skew(32768), 2)
+    # in _middle(k), -k sits in a middle coordinate, which is rebuilt from
+    # the walk's trail and not from the last interval
+    assert _shells(_middle(127), 2)[2].tolist() == [
         [-1, 127, 0], [0, -1, 0], [0, 0, -1], [0, 0, 1], [0, 1, 0],
         [1, -127, 0]]
     with pytest.raises(LatticeError, match="int8"):
-        _shells(middle(128), 2)
+        _shells(_middle(128), 2)
 
 
 @pytest.mark.parametrize("name", ["D16plus", "E8E8"])
 def test_walk_memory_stays_bounded(name):
-    # a walk level keeps one block's trail (parent row, new coordinate), its
-    # norms q, the columns of h that a filled coordinate touches and the
-    # float partial norms; the norm-4 shells themselves are 0.95 MiB
+    # a walk level keeps one block's trail (parent row, new coordinate),
+    # its exact least norms F and the columns of h that a filled coordinate
+    # touches; the norm-4 shells themselves are 0.95 MiB
     gram = lattice_by_id(name).gram_array
     tracemalloc.start()
     try:
@@ -299,16 +306,16 @@ def _box_reach(gram, max_norm):
     return reach.astype(np.int64)
 
 
-def _random_even_grams(seed, count):
+def _random_even_grams(seed, count, span=2):
     """(G, max_norm) for positive definite even integer Gram matrices of
-    rank 2-5: 2 A^T A for a random integer A of full rank, with max_norm
-    the largest diagonal entry, kept when the box oracle below holds at
-    most 2**18 points."""
+    rank 2-5: 2 A^T A for a random integer A of full rank with entries in
+    [-span, span], with max_norm the largest diagonal entry, kept when the
+    box oracle below holds at most 2**18 points."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
         n = int(rng.integers(2, 6))
-        a = rng.integers(-2, 3, size=(n, n))
+        a = rng.integers(-span, span + 1, size=(n, n))
         if round(abs(np.linalg.det(a))) == 0:
             continue
         gram = 2 * a.T @ a
@@ -359,7 +366,14 @@ def test_enumeration_blocks_match_reference(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_enumeration_random_grams_match_oracles(seed):
-    for gram, max_norm in _random_even_grams(seed, 3):
+    # entries of A in [-3, 3] give trailing minors D_i up to 8786432, where
+    # the radicand's cap (D_i 2**16)^2 gives way to `_isqrt`'s bound 2**52;
+    # _skew(127) and _middle(127) put -254 and -508 into a_0 and walk x_1 to
+    # -127
+    grams = _random_even_grams(seed, 3) + _random_even_grams(seed, 3, span=3)
+    if seed == 0:
+        grams += [(_skew(127), 2), (_middle(127), 2)]
+    for gram, max_norm in grams:
         got = _enumerate_array(gram, max_norm)
         _assert_same_arrays(got, _enumerate_array_reference(gram, max_norm))
         xs, norms = _box_enumeration(gram, max_norm)
@@ -368,43 +382,73 @@ def test_enumeration_random_grams_match_oracles(seed):
             m: int((norms == m).sum()) for m in range(0, max_norm + 1, 2)}
 
 
-def test_center_rows_match_lapack():
-    # LAPACK is the oracle here only: the walk's rows are exact rationals
-    # rounded once, so they agree with a float inverse to its own error
+def _det_and_inverse_row(m):
+    """det m and row 0 of m^-1 in Fractions, by Gauss-Jordan on [m | I];
+    m is positive definite, so no pivot is 0 and no row is swapped."""
+    k = len(m)
+    rows = [[Fraction(v) for v in row]
+            + [Fraction(int(r == c)) for c in range(k)]
+            for r, row in enumerate(m)]
+    det = Fraction(1)
+    for c in range(k):
+        p = rows[c][c]
+        det *= p
+        rows[c] = [v / p for v in rows[c]]
+        for r in range(k):
+            if r != c:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return det, rows[0][k:]
+
+
+def test_center_rows_are_exact_minors_and_adjugate_rows():
+    # D_i = det G[i:, i:] (D_n = 1) and a_i = D_i (row 0 of G[i:, i:]^-1),
+    # Python ints, against Gauss-Jordan in Fractions
     grams = [lattice_by_id(name).gram_array
              for name in ("E8", "D16plus", "E8E8")]
     grams += [g for seed in range(6) for g, _ in _random_even_grams(seed, 3)]
     for gram in grams:
-        rows = _center_rows(gram)
-        assert len(rows) == len(gram) - 1
-        for i, row in enumerate(rows):
-            want = np.linalg.inv(gram[i:, i:].astype(np.float64))[0]
-            np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
-    # each entry is the exact rational rounded once: G[1:, 1:] = [[2, 1],
-    # [1, 2]] has the row (2/3, -1/3)
-    assert _center_rows(np.array([[4, 1, 1], [1, 2, 1], [1, 1, 2]]))[1] == \
-        [2 / 3, -1 / 3]
+        n = len(gram)
+        dets, rows = _center_rows(gram)
+        assert len(dets) == n + 1 and dets[n] == 1 and len(rows) == n
+        for i in range(n):
+            det, row = _det_and_inverse_row(gram[i:, i:].tolist())
+            assert type(dets[i]) is int and dets[i] == det
+            assert all(type(v) is int for v in rows[i])
+            assert rows[i] == [det * v for v in row]
+            assert rows[i][0] == dets[i + 1]
+    dets = _center_rows(lattice_by_id("D16plus").gram_array)[0]
+    assert dets == [1, 4] + list(range(15, 0, -1))
+    # G[1:, 1:] = [[2, 1], [1, 2]] has determinant 3 and inverse row
+    # (2/3, -1/3)
+    assert _center_rows(np.array([[4, 1, 1], [1, 2, 1], [1, 1, 2]])) == \
+        ([10, 3, 2, 1], [[3, -1, -1], [2, -1], [1]])
 
 
-def test_walk_refuses_centers_past_the_pad(monkeypatch):
+def test_walk_takes_large_entries_and_refuses_past_int64(monkeypatch):
     # x_0 may reach 32767 under the int16 cap, so h on the columns 1 and 2
-    # may reach 32767 b, and the center's float error bound, 3 u times that
-    # over the row (2/3, -1/3), is 1.1e-6 at b = 10**5, past the pad 1e-7;
-    # at b = 10**3 it is 1.1e-8, and the walk finds the roots of G[1:, 1:]
-    # (A2)
+    # may reach 32767 b, 3.3e9 at b = 10**5; it stays exact, and the walk
+    # finds the roots of G[1:, 1:] (A2)
     def gram(b):
         return np.array([[10 ** 10, b, b], [b, 2, 1], [b, 1, 2]])
 
-    assert _shell_counts(gram(10 ** 3), 2) == {0: 1, 2: 6}
+    g = gram(10 ** 5)
+    assert _shell_counts(g, 2) == {0: 1, 2: 6}
+    xs, norms = _box_enumeration(g, 2)
+    got = _enumerate_array(g, 2)
+    assert np.array_equal(got[0], xs) and np.array_equal(got[1], norms)
 
     def expand(*args):
         raise AssertionError("the walk expanded a prefix")
 
-    # refused when the walk starts, before any prefix is expanded
+    # D_0 D_1 max_norm = 3 * 10**10 * 2**30 passes 2**63, and E8's 4 * 2**62
+    # does too: refused when the walk starts, before any prefix is expanded
     monkeypatch.setattr(lattices, "_expand", expand)
     for walk in (_shells, _shell_counts):
-        with pytest.raises(ArithmeticError, match="pad"):
-            walk(gram(10 ** 5), 2)
+        with pytest.raises(LatticeError, match="int64"):
+            walk(g, 1 << 30)
+        with pytest.raises(LatticeError, match="int64"):
+            walk(lattices.E8_GRAM, 1 << 62)
 
 
 @pytest.mark.parametrize("name", ["E8", "D16plus", "E8E8"])
@@ -556,8 +600,8 @@ def test_isqrt_is_exact_below_its_bound():
 
 
 def test_count_only_step_refuses_inexact_sqrt(e8, monkeypatch):
-    # the rank-1 form 2x^2 has one prefix (q = h = 0); its largest
-    # discriminant up to norm 8 is 2 * 8 = 16
+    # the rank-1 form 2x^2 has one prefix (F = 0, no h); its radicand up to
+    # norm 8 is D_1 (D_0 * 8 - F) = 16
     form = np.array([[2]])
     monkeypatch.setattr(lattices, "_SQRT_EXACT", 16)
     with pytest.raises(ArithmeticError):
