@@ -23,11 +23,10 @@ from .counting import CountEngine
 from .expansion import FourierExpansion, SiegelPoint, check_table_bound, \
     evaluate, json_complex, siegel_operator
 from .fay import DegenerationData, fay_check
-from .lattices import UnsupportedLatticeError, lattice_by_id, shell_sizes, \
-    short_vector_shells
+from .lattices import UnsupportedLatticeError, check_norm, lattice_by_id, \
+    shell_sizes, short_vector_shells
 from .schottky import nonzero_report, verify_vanishing
-from .theta import check_norm_budget, default_norm_budget, theta_eval, \
-    theta_expansion
+from .theta import default_norm_budget, theta_eval, theta_expansion
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -116,7 +115,7 @@ def cmd_siegel_phi(args, cache) -> tuple:
 
 
 def cmd_schottky_verify(args, cache) -> tuple:
-    if args.genus <= 3:
+    if 1 <= args.genus <= 3:
         rep = verify_vanishing(args.genus, args.max_trace, cache=cache)
     else:
         rep = nonzero_report(args.genus, args.max_trace, cache=cache)
@@ -135,7 +134,7 @@ def cmd_eval(args, cache) -> tuple:
     point = parse_tau(args.tau, args.genus)
     budget = args.budget if args.budget is not None \
         else default_norm_budget(args.max_trace)
-    check_norm_budget(budget)
+    check_norm(budget, "norm_budget")
     f = theta_expansion(lat, args.genus, args.max_trace, cache=cache)
     from_series = evaluate(f, point)
     direct = theta_eval(lat, args.genus, point, budget)

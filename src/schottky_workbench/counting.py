@@ -22,17 +22,13 @@ root set is narrowed one fixed vector at a time, as the candidates are.  The
 recursion stops when one slot is open, and that slot's candidate count is
 its only leaf.
 
-A genus-2 target with norms n0 <= m narrows no shell: its count is
-sum_r w_r #{y : |y|^2 = m, <y, x_r> = a} over the slot-0 representatives
-x_r.  One count-only walk at norm m tags each walked vector with its inner
-product against every x_r and bins the tags (`lattices.tag_histograms`);
-the lattice's store keeps the histograms, so the walk answers every a.
-Shells are built only to norm n0, for the orbits, so at n0 < m the norm-m
-shell is never built.
+A genus-2 count is one lookup in the lattice's table of its diagonal
+(`lattices.pair_counts`): every (x, y) with |x|^2 = n0, |y|^2 = m, counted
+by <x, y> from one tagged walk at norm m, so counting builds no genus-2
+shell itself.
 
 Exactness: every inner product is an int64 product of one fixed vector with
-int8 candidates, or an int64 tag summed along the walk (bounded in
-`lattices._tag_histograms`), and totals are Python integers.
+int8 candidates, and totals are Python integers.
 """
 
 from __future__ import annotations
@@ -41,8 +37,8 @@ import numpy as np
 
 from . import indices as idx
 from .cache import CountCache, index_key
-from .lattices import (Lattice, reflection_orbits, shell_orbits, shell_sizes,
-                       short_vector_shells, tag_histograms)
+from .lattices import (Lattice, pair_counts, reflection_orbits, shell_orbits,
+                       shell_sizes, short_vector_shells)
 
 
 class CountEngine:
@@ -93,8 +89,8 @@ class CountEngine:
             # a shell size, read from the modular form: no shell is built
             return shell_sizes(self.lattice, s[0][0])[s[0][0]]
         if g == 2:
-            n0, m = sorted((s[0][0], s[1][1]))
-            return self._pair_count(n0, s[0][1], m)
+            # a canonical key sorts its diagonal: one table per n0 <= m
+            return pair_counts(self.lattice, s[0][0], s[1][1])[s[0][1]]
         return self._count_dfs(s)
 
     # -- genus >= 3: fix slots one vector at a time ------------------------
@@ -103,7 +99,7 @@ class CountEngine:
         """Fix x_0, x_1, ... one orbit representative at a time, each
         weighted by its orbit size, until one slot is open, and count its
         candidates in built shells.  Only genus >= 3 targets come here;
-        genus 2 is `_pair_count`."""
+        genus 2 is `pair_counts`."""
         norms = [s[p][p] for p in range(len(s))]
         shells = short_vector_shells(self.lattice, max(norms))
         gram = self.lattice.gram_array
@@ -128,17 +124,3 @@ class CountEngine:
         return sum(int(w) * rec(0, shells[norms[0]][r],
                                 [shells[n] for n in norms[1:]], shells[2])
                    for r, w in zip(reps, sizes))
-
-    def _pair_count(self, n0, a, m) -> int:
-        """#{(x, y) : |x|^2 = n0, <x, y> = a, |y|^2 = m}, n0 <= m, as
-        sum_r w_r #{y : |y|^2 = m, <y, x_r> = a} over the slot-0 orbit
-        representatives x_r and their orbit sizes w_r.  The second factor
-        is read from `tag_histograms`, one count-only walk at norm m per
-        set of representatives that answers every a; the shells are built
-        only to norm n0, for the representatives, so at n0 < m the norm-m
-        shell is never built."""
-        reps, sizes = shell_orbits(self.lattice, n0)
-        fixed = short_vector_shells(self.lattice, n0)[n0][reps]
-        hist = tag_histograms(self.lattice, fixed, n0, m)
-        column = hist[:, a + hist.shape[1] // 2]
-        return sum(int(w) * int(c) for w, c in zip(sizes, column))

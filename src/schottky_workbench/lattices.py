@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -65,8 +66,8 @@ class Lattice:
     Each instance owns one private store of the data derived from its Gram
     matrix: the int64 Gram array (`gram_array`, built once, read-only), the
     one shell run of `short_vector_shells`, the orbit representatives and
-    sizes of `shell_orbits` (keyed by norm), and the histograms of
-    `tag_histograms` (keyed by norms and fixed vectors).  The store takes
+    sizes of `shell_orbits` (keyed by norm), and the genus-2 tables of
+    `pair_counts` (keyed by the norm pair (n0, m)).  The store takes
     no part in equality or hashing, and two instances with equal Gram
     matrices do not share it; `lattice_by_id` returns one instance per
     name, so its callers do.
@@ -92,7 +93,7 @@ class Lattice:
             raise LatticeError("gram matrix must be unimodular")
         gram = np.array(g, dtype=np.int64)
         gram.flags.writeable = False
-        self._store.update(gram=gram, shells={}, orbits={}, tags={})
+        self._store.update(gram=gram, shells={}, orbits={}, pairs={})
 
     @property
     def gram_array(self) -> np.ndarray:
@@ -429,9 +430,12 @@ def _tag_histograms(gram: np.ndarray, fixed: np.ndarray, norm: int,
     return hist + hist[:, ::-1]
 
 
-def _check_norm(max_norm: int):
-    if max_norm < 0 or max_norm % 2 != 0:
-        raise ValueError("max_norm must be a non-negative even integer")
+def check_norm(norm: int, name: str = "max_norm"):
+    """Raise ValueError, naming the argument `name`, unless `norm` is a
+    non-negative even integer: the one norm rule of the walks, the shell
+    sizes and the direct sum's budget."""
+    if norm < 0 or norm % 2 != 0:
+        raise ValueError(f"{name} must be a non-negative even integer")
 
 
 def short_vector_shells(lat: Lattice, max_norm: int) -> dict:
@@ -443,7 +447,7 @@ def short_vector_shells(lat: Lattice, max_norm: int) -> dict:
     that run's arrays, and a request above it walks once at the new bound
     and replaces the run.
     """
-    _check_norm(max_norm)
+    check_norm(max_norm)
     run = lat._store["shells"]
     if run and max(run) >= max_norm:
         return {m: v for m, v in run.items() if m <= max_norm}
@@ -533,7 +537,7 @@ def shell_sizes(lat: Lattice, max_norm: int) -> dict:
     it is.  A norm above `_MAX_SERIES_NORM` raises ValueError before any
     series is built.
     """
-    _check_norm(max_norm)
+    check_norm(max_norm)
     if max_norm > _MAX_SERIES_NORM:
         raise ValueError(f"max_norm {max_norm} exceeds the theta series "
                          f"bound {_MAX_SERIES_NORM}")
@@ -610,21 +614,28 @@ def shell_orbits(lat: Lattice, norm: int):
     return store[norm]
 
 
-def tag_histograms(lat: Lattice, fixed: np.ndarray, norm: int,
-                   m: int) -> np.ndarray:
-    """The read-only `_tag_histograms` of the rows of `fixed` (vectors of
-    norm `norm`) over the norm-m vectors, which are walked, not built.
-    Kept in the lattice's store, keyed by (norm, m) and the bytes of
-    `fixed`, so one walk answers every inner product of every row.
+def pair_counts(lat: Lattice, n0: int, m: int):
+    """The read-only map t -> #{(x, y) : |x|^2 = n0, |y|^2 = m, <x, y> = t},
+    |t| <= isqrt(n0 m): every genus-2 count with diagonal (n0, m).
+
+    It is sum_r w_r hist_r in Python ints, over the slot-0 orbit
+    representatives x_r of `shell_orbits(lat, n0)` with orbit sizes w_r,
+    where hist_r is the row of x_r in one `_tag_histograms` walk at norm m:
+    the count of y is constant on an orbit of x.  Shells are built only to
+    norm n0, for the representatives, so at n0 < m the norm-m shell is
+    never built.  Kept in the lattice's store, keyed by (n0, m), so one walk
+    answers every t.
     """
-    _check_norm(m)
-    store = lat._store["tags"]
-    key = (norm, m, fixed.tobytes())
-    if key not in store:
-        hist = _tag_histograms(lat.gram_array, fixed, norm, m)
-        hist.flags.writeable = False
-        store[key] = hist
-    return store[key]
+    check_norm(m, "m")
+    store = lat._store["pairs"]
+    if (n0, m) not in store:
+        reps, sizes = shell_orbits(lat, n0)
+        fixed = short_vector_shells(lat, n0)[n0][reps]
+        hist = _tag_histograms(lat.gram_array, fixed, n0, m)
+        store[n0, m] = MappingProxyType(
+            {t: sum(w * c for w, c in zip(sizes.tolist(), col))
+             for t, col in enumerate(hist.T.tolist(), -math.isqrt(n0 * m))})
+    return store[n0, m]
 
 
 # the lattice ids of the CLI and the cache

@@ -16,7 +16,7 @@ from . import indices as idx
 from .counting import CountEngine
 from .expansion import (EvalResult, FourierExpansion,
                         IncompatibleExpansionError, SiegelPoint)
-from .lattices import (_BLOCK_ENTRIES, Lattice, _shell_counts,
+from .lattices import (_BLOCK_ENTRIES, Lattice, _shell_counts, check_norm,
                        short_vector_shells)
 
 
@@ -37,13 +37,6 @@ def theta_expansion(lat: Lattice, g: int, max_trace: int,
 def default_norm_budget(max_trace: int) -> int:
     """Budget making both truncation tails negligible at Im(tau) >~ 1.2 I."""
     return 2 * max_trace + 4
-
-
-def check_norm_budget(norm_budget: int):
-    """Raise ValueError unless norm_budget is a non-negative even integer;
-    `eval` checks its budget before it counts anything."""
-    if norm_budget < 0 or norm_budget % 2 != 0:
-        raise ValueError("norm_budget must be a non-negative even integer")
 
 
 def _ip_histogram(xs: np.ndarray, ys: np.ndarray, gram: np.ndarray,
@@ -92,18 +85,19 @@ def theta_eval(lat: Lattice, g: int, point: SiegelPoint,
     walk lattices._shell_counts, not from lattices.shell_sizes: that
     modular form serves the series side, and the direct path stays
     independent of it.  Genus 1 is a closed sum over these sizes and
-    builds no shell.  From genus 2 on, the vectors come from
-    short_vector_shells, built to norm B - 2 only: a vector of norm B fits
-    only in a tuple whose other slots are zero, so the top shell enters by
-    its size.  The first g - 2 slots are walked vector by vector and the
-    last two are summed per pair of shell norms (m1, m2) in one blockwise
-    operation: the integer inner products <x, y> of a block of the norm-m1
-    shell against the whole norm-m2 shell are binned (weighted, from genus
-    3, by the phases the earlier slots give each row and column) and the
-    bins are dotted with the phase table exp(2 pi i tau t),
-    |t| <= isqrt(m1 m2).  An unweighted histogram walks half of the longer
-    shell and mirrors it (_pair_histogram).  A pair with a norm-0 shell is
-    a product of two row sums.
+    builds no shell.  From genus 2 on, a vector of norm B > 0 fits only in
+    a tuple whose other slots are zero, so those g N(B) tuples are one
+    closed term; every other tuple takes its vectors from
+    short_vector_shells, built to norm max(B - 2, 0) only.  The first g - 2
+    slots are walked vector by vector and the last two are summed per pair
+    of shell norms (m1, m2) in one blockwise operation: the integer inner
+    products <x, y> of a block of the norm-m1 shell against the whole
+    norm-m2 shell are binned (weighted, from genus 3, by the phases the
+    earlier slots give each row and column) and the bins are dotted with
+    the phase table exp(2 pi i tau t), |t| <= isqrt(m1 m2).  An unweighted
+    histogram walks half of the longer shell and mirrors it
+    (_pair_histogram).  A pair with a norm-0 shell is a product of two row
+    sums.
 
     Memory: a block holds at most _BLOCK_ENTRIES = 2**15 pairs, so its
     temporaries stay under 1 MB beside the shells.  Exactness: the inner
@@ -113,7 +107,7 @@ def theta_eval(lat: Lattice, g: int, point: SiegelPoint,
     """
     if point.g != g:
         raise IncompatibleExpansionError("point genus mismatch")
-    check_norm_budget(norm_budget)
+    check_norm(norm_budget, "norm_budget")
     tau = point.matrix
     pii = 1j * math.pi
     sizes = _shell_counts(lat.gram_array, norm_budget)
@@ -124,8 +118,10 @@ def theta_eval(lat: Lattice, g: int, point: SiegelPoint,
             total += sizes[m] * np.exp(pii * m * complex(tau[0, 0]))
     else:
         shells = short_vector_shells(lat, max(norm_budget - 2, 0))
-        total = _last_two_slots(shells, sizes, lat.gram_array, tau,
-                                norm_budget)
+        total = _last_two_slots(shells, lat.gram_array, tau, norm_budget)
+        if norm_budget:
+            total += sizes[norm_budget] * np.exp(
+                pii * norm_budget * np.diag(tau)).sum()
 
     # tuples of total norm exactly norm_budget, by norm composition
     ways = {0: 1}
@@ -161,21 +157,16 @@ def _pair_histogram(xs: np.ndarray, ys: np.ndarray, gram: np.ndarray,
     return hist + hist[::-1]
 
 
-def _last_two_slots(shells, sizes, gram, tau, norm_budget) -> complex:
-    """The genus >= 2 direct sum: a depth-first walk over the first g - 2
-    slots, each leaf a blockwise pair sum over the last two (see theta_eval).
-
-    `shells` holds the vectors to norm max(B - 2, 0), B = norm_budget, and
-    `sizes` the size N(m) of every shell to norm B.  A slot takes norm B
-    only when every other slot holds the zero vector, where its phase
-    weights are 1 and it pairs only with norm 0: the walk adds
-    N(B) exp(phase + pi i B tau_ll) for it, and the pair sums read N(B).
-    """
+def _last_two_slots(shells, gram, tau, norm_budget) -> complex:
+    """The genus >= 2 direct sum over the tuples of total norm <= B =
+    norm_budget whose vectors all lie in `shells` (see theta_eval): a
+    depth-first walk over the first g - 2 slots, each leaf a blockwise pair
+    sum over the last two."""
     g = len(tau)
     a, b = g - 2, g - 1
     pii = 1j * math.pi
     half = norm_budget // 2
-    norms = sorted(sizes)
+    norms = sorted(shells)
     table = np.exp(2 * pii * complex(tau[a, b]) * np.arange(-half, half + 1))
 
     def pair_sum(m1, m2, u, w):
@@ -183,19 +174,19 @@ def _last_two_slots(shells, sizes, gram, tau, norm_budget) -> complex:
         y in shell m2; u = w = None means unit weights."""
         if m1 == 0 or m2 == 0:
             # every inner product is 0: a product of two row sums
-            return ((sizes[m1] if u is None else u.sum())
-                    * (sizes[m2] if w is None else w.sum()))
+            return ((len(shells[m1]) if u is None else u.sum())
+                    * (len(shells[m2]) if w is None else w.sum()))
         bound = math.isqrt(m1 * m2)
         hist = _pair_histogram(shells[m1], shells[m2], gram, bound, u, w)
         return hist @ table[half - bound : half + bound + 1]
 
     def slot_weights(p, chosen, rest):
-        """exp(2 pi i sum_j tau_jp <x_j, x>) over each shell of norm <= rest
-        but the top one (weights 1), for the chosen prefix vectors x_j
-        (given as G x_j); none at genus 2."""
+        """exp(2 pi i sum_j tau_jp <x_j, x>) over each shell of norm <=
+        rest, for the chosen prefix vectors x_j (given as G x_j); none at
+        genus 2."""
         out = {}
         for m in norms:
-            if m > rest or m == norm_budget or not chosen:
+            if m > rest or not chosen:
                 break
             vecs = shells[m].astype(np.float64)
             expo = np.zeros(len(vecs), dtype=complex)
@@ -225,10 +216,6 @@ def _last_two_slots(shells, sizes, gram, tau, norm_budget) -> complex:
             if used + m > norm_budget:
                 break
             ph = phase + pii * m * complex(tau[level, level])
-            if m == norm_budget:
-                # used == 0: every other slot is zero, every cross term 0
-                total += sizes[m] * np.exp(ph)
-                continue
             for row in shells[m]:
                 x = row.astype(np.int64)
                 phx = ph

@@ -204,6 +204,17 @@ def test_schottky_verify_genus4_below_first_nonzero(capsys, tmp_path,
     assert len(builds) == 2          # one build per call
 
 
+@pytest.mark.parametrize("genus", ["0", "-1"])
+def test_schottky_verify_refuses_a_genus_below_1(capsys, tmp_path, genus):
+    # the index table's rule, not the vanishing claim's range of 1..3
+    path = tmp_path / "c.jsonl"
+    code, doc = run(capsys, "schottky-verify", "--genus", genus,
+                    "--max-trace", "4", "--cache", str(path))
+    assert code == 2 and doc.keys() == {"error"}, doc
+    assert "genus must be >= 1" in doc["error"]
+    assert not path.exists()
+
+
 def test_eval_two_paths(capsys):
     code, doc = run(capsys, "eval", "--lattice", "E8", "--genus", "1",
                     "--tau", "i", "--max-trace", "8", "--budget", "8")

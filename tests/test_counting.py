@@ -96,13 +96,17 @@ def test_genus2_counts_match_pair_histograms(name, n0, m):
                                 built.gram_array, b) for r in reps]
     want = sum(int(w) * h for w, h in zip(sizes, rows))
     assert got == want.tolist()
-    # and row by row, one row per representative
-    (hist,) = lat._store["tags"].values()
+    # the one table the counts read, kept under its norm pair
+    assert list(lat._store["pairs"]) == [(n0, m)]
+    table = lattices.pair_counts(lat, n0, m)
+    assert [table[a] for a in range(-b, b + 1)] == want.tolist()
+    # and row by row, one row per representative, from the tagged walk
+    hist = lattices._tag_histograms(built.gram_array, shells[n0][reps], n0, m)
     assert hist.tolist() == np.array(rows).tolist()
 
 
 def test_genus2_never_reaches_the_recursion(monkeypatch):
-    # every genus-2 class, equal norms included, is one tagged walk; summed
+    # every genus-2 class, equal norms included, is one table lookup; summed
     # over a, the (n0, a, m) coefficients give N(n0) N(m), two shell sizes
     def forbidden(*args, **kwargs):
         raise AssertionError("a genus-2 count reached _count_dfs")
@@ -124,10 +128,9 @@ def test_genus2_leaf_histograms_hold_zero_bins():
     # are all even: against the norm-10 vectors its row is zero at every
     # odd t, and it reaches both edges t = +-isqrt(80) = +-8
     lat = _fresh("E8")
-    CountEngine(lat).count(((8, 1), (1, 10)))
-    (hist,) = lat._store["tags"].values()
     reps, _ = shell_orbits(lat, 8)
     fixed = short_vector_shells(lat, 8)[8][reps]
+    hist = lattices._tag_histograms(lat.gram_array, fixed, 8, 10)
     (doubled,) = np.flatnonzero((fixed % 2 == 0).all(axis=1))
     assert (hist[doubled, 1::2] == 0).all()
     assert hist[doubled, 0] == hist[doubled, -1] > 0
@@ -292,15 +295,14 @@ def test_expansion_fills_one_store(e8):
     lat = Lattice(e8.name, e8.rank, e8.gram)
     theta_expansion(lat, 3, 8)
     store = lat._store
-    assert sorted(store) == ["gram", "orbits", "shells", "tags"]
+    assert sorted(store) == ["gram", "orbits", "pairs", "shells"]
     # one run, bound 4: the genus-2 (2, 6) leaves are walked, not built
     assert sorted(store["shells"]) == [0, 2, 4]
     # slot 0 has norm 2, or norm 4 in the genus-2 diagonal (4, 4)
     assert sorted(store["orbits"]) == [2, 4]
-    # one walk per norm pair n0 <= m of the genus-2 targets, equal norms
-    # included
-    assert sorted(k[:2] for k in store["tags"]) == [(2, 2), (2, 4), (2, 6),
-                                                    (4, 4)]
+    # one table, one walk, per norm pair n0 <= m of the genus-2 targets,
+    # equal norms included
+    assert sorted(store["pairs"]) == [(2, 2), (2, 4), (2, 6), (4, 4)]
     assert e8._store is not store
 
 
@@ -317,26 +319,30 @@ def _d16_classes():
             and abs(s[0][1]) < 2][:5]
 
 
-def _counts_with_trivial(monkeypatch, name, trivial, targets):
+def _counts_with_trivial(monkeypatch, name, trivial, targets,
+                         modules=(counting,)):
     """Counts of `targets` by one fresh engine per lattice, before and
-    after the orbit function `name` of the counting module is replaced by
+    after the orbit function `name` of each of `modules` is replaced by
     `trivial`.  Each pass counts on fresh copies of the lattices, so no
-    store the first pass fills (shells, orbits, tag histograms) answers
-    the second, and the replacement must be called."""
+    store the first pass fills (shells, orbits, pair tables) answers the
+    second, and every replacement must be called."""
     def counts():
         return {lat: list(map(CountEngine(_fresh(lat.name)).count, ts))
                 for lat, ts in targets.items()}
 
     want = counts()
-    calls = []
+    calls = {module: [] for module in modules}
 
-    def spy(*args):
-        calls.append(args)
-        return trivial(*args)
+    def spy(seen):
+        def replacement(*args):
+            seen.append(args)
+            return trivial(*args)
+        return replacement
 
-    monkeypatch.setattr(counting, name, spy)
+    for module in modules:
+        monkeypatch.setattr(module, name, spy(calls[module]))
     got = counts()
-    assert calls
+    assert all(calls.values()), {m.__name__: len(c) for m, c in calls.items()}
     return got, want
 
 
@@ -350,10 +356,12 @@ def test_trivial_orbits_count_the_same(e8, d16, monkeypatch):
          if all(s[p][p] == 2 for p in range(4))] + [A5, D5],
         d16: _d16_classes(),
     }
+    # the genus-2 sub-counts take their orbits in `lattices.pair_counts`
     got, want = _counts_with_trivial(
         monkeypatch, "shell_orbits",
         lambda lat, norm: _trivial_orbits(
-            len(short_vector_shells(lat, norm)[norm])), targets)
+            len(short_vector_shells(lat, norm)[norm])), targets,
+        modules=(counting, lattices))
     assert got == want
 
 

@@ -26,9 +26,9 @@ from schottky_workbench.lattices import (Lattice, LatticeError,
                                          _shell_counts, _shells,
                                          _simple_roots, _tag_histograms,
                                          direct_sum, lattice_by_id,
-                                         reflection_orbits, shell_orbits,
-                                         shell_sizes, short_vector_shells,
-                                         tag_histograms)
+                                         pair_counts, reflection_orbits,
+                                         shell_orbits, shell_sizes,
+                                         short_vector_shells)
 
 
 def _ambient_count(n: int, norm: int, with_halves: bool) -> int:
@@ -712,21 +712,29 @@ def test_reflection_orbits_refuse_int16_images():
 def test_tag_histograms_refuse_a_longer_fixed_vector(e8, monkeypatch):
     # a norm-4 vector stated as norm 2 meets <y, x> = 4 at y = x, past the
     # Cauchy-Schwarz bound isqrt(4 * 2) = 2: the guard raises before it
-    # bins, and nothing is kept
+    # bins
     lat = Lattice(e8.name, e8.rank, e8.gram)
     x = short_vector_shells(lat, 4)[4][:1]
     with pytest.raises(ArithmeticError, match="outside"):
-        tag_histograms(lat, x, 2, 4)
-    assert lat._store["tags"] == {}
+        _tag_histograms(lat.gram_array, x, 2, 4)
     # stated right, the row is the histogram over the 2160 norm-4 vectors,
     # with y = x alone at the edge t = 4
-    hist = tag_histograms(lat, x, 4, 4)
+    hist = _tag_histograms(lat.gram_array, x, 4, 4)
     assert hist.shape == (1, 9) and hist.sum() == 2160
     assert hist[0, 8] == hist[0, 0] == 1
-    assert not hist.flags.writeable
-    # kept in the store: a second request walks nothing
+    # the genus-2 tables: summed over t, N(n0) N(m) pairs; read-only
+    for n0, m in ((2, 4), (4, 4)):
+        table = pair_counts(lat, n0, m)
+        assert sorted(table) == list(range(-math.isqrt(n0 * m),
+                                           math.isqrt(n0 * m) + 1))
+        assert sum(table.values()) == {2: 240, 4: 2160}[n0] * 2160
+    assert table[4] == table[-4] == 2160
+    with pytest.raises(TypeError):
+        table[0] = 0
+    # kept in the store under (n0, m): a second call walks nothing
     monkeypatch.setattr(lattices, "_vectors", None)
-    assert tag_histograms(lat, x.copy(), 4, 4) is hist
+    assert pair_counts(lat, 4, 4) is table
+    assert sorted(lat._store["pairs"]) == [(2, 4), (4, 4)]
     # a Gram entry of 2**50 lets a partial tag pass 2**63: refused up front
     with pytest.raises(ArithmeticError, match="2\\*\\*63"):
         lattices._tag_histograms(np.array([[1 << 50]]),
