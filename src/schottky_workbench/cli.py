@@ -6,8 +6,8 @@ stamps the document with `command` and `generated_at`, or replaces it with
 it to standard output as one line of JSON with sorted keys.  Exit codes:
 0 success / verification passed, 1 verification failed (the JSON carries the
 counterexample), 2 usage or input error, including a command line that the
-parser rejects and an unusable cache file.  Only --help prints text instead,
-and exits 0.
+parser rejects and, for a subcommand that takes --cache, an unusable cache
+file.  Only --help prints text instead, and exits 0.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from .counting import CountEngine
 from .expansion import FourierExpansion, SiegelPoint, check_table_bound, \
     evaluate, json_complex, siegel_operator
 from .fay import DegenerationData, fay_check
-from .lattices import UnsupportedLatticeError, check_norm, lattice_by_id, \
-    shell_sizes, short_vector_shells
+from .lattices import lattice_by_id, shell_sizes, short_vector_shells
 from .schottky import nonzero_report, verify_vanishing
 from .theta import default_norm_budget, theta_eval, theta_expansion
 
@@ -66,13 +65,6 @@ def parse_tau(text: str, g: int) -> SiegelPoint:
     return SiegelPoint.scalar(g, z)
 
 
-def _lattice(name: str):
-    try:
-        return lattice_by_id(name)
-    except UnsupportedLatticeError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _read_doc(path: str) -> dict:
     try:
         if path == "-":
@@ -87,7 +79,7 @@ def _read_doc(path: str) -> dict:
 
 
 def cmd_lattice_enum(args, cache) -> tuple:
-    lat = _lattice(args.lattice)
+    lat = lattice_by_id(args.lattice)
     doc = {"lattice": lat.name, "rank": lat.rank, "max_norm": args.max_norm}
     if args.vectors:
         shells = short_vector_shells(lat, args.max_norm)
@@ -100,7 +92,7 @@ def cmd_lattice_enum(args, cache) -> tuple:
 
 
 def cmd_theta_coeffs(args, cache) -> tuple:
-    lat = _lattice(args.lattice)
+    lat = lattice_by_id(args.lattice)
     doc = theta_expansion(lat, args.genus, args.max_trace, cache=cache).to_json()
     doc["lattice"] = lat.name
     return EXIT_OK, doc
@@ -130,14 +122,16 @@ def cmd_schottky_verify(args, cache) -> tuple:
 def cmd_eval(args, cache) -> tuple:
     if not 0 <= args.tolerance < float("inf"):
         raise ValueError("tolerance must be finite and >= 0")
-    lat = _lattice(args.lattice)
+    lat = lattice_by_id(args.lattice)
     point = parse_tau(args.tau, args.genus)
     budget = args.budget if args.budget is not None \
         else default_norm_budget(args.max_trace)
-    check_norm(budget, "norm_budget")
+    # every input rule runs before the first count: the index table's, then
+    # the direct sum's (even budget, int64 and int16 bounds)
+    idx.index_table(args.genus, args.max_trace)
+    direct = theta_eval(lat, args.genus, point, budget)
     f = theta_expansion(lat, args.genus, args.max_trace, cache=cache)
     from_series = evaluate(f, point)
-    direct = theta_eval(lat, args.genus, point, budget)
     a, b = complex(from_series.value), complex(direct.value)
     diff = abs(a - b)
     scale = max(abs(a), abs(b), 1e-300)
@@ -168,7 +162,7 @@ def cmd_fay_check(args, cache) -> tuple:
         else (8 if g <= 2 else 6)
     # the checks build the genus-(g+1) table: bound it as siegel-phi does
     check_table_bound(g + 1, max_trace)
-    lat = _lattice(args.lattice)
+    lat = lattice_by_id(args.lattice)
     rep = fay_check(data, theta_expansion(lat, g + 1, max_trace, cache=cache))
     rep["lattice"] = lat.name
     rep["max_trace"] = max_trace
@@ -187,7 +181,7 @@ def cmd_cache_stats(args, cache) -> tuple:
                 raise UsageError(
                     f"cache key {key!r} is not an index: {exc}") from None
             # fresh engine with its own empty cache: forces real recomputation
-            return CountEngine(_lattice(lattice_id)).count(target)
+            return CountEngine(lattice_by_id(lattice_id)).count(target)
         mismatches = cache.verify_sample(recompute, fraction=args.fraction)
         doc["verified_fraction"] = args.fraction
         doc["mismatches"] = mismatches
@@ -205,7 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "first-order period-matrix degenerations.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, genus=True, trace=True):
+    def counts(p, genus=True, trace=True):
+        # --cache only where counts are read or written: `main` opens the
+        # cache for these subcommands alone
         p.add_argument("--cache", default=None,
                        help=f"cache file path (default: ${ENV_CACHE_PATH})")
         if genus:
@@ -218,24 +214,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-norm", type=int, required=True)
     p.add_argument("--vectors", action="store_true",
                    help="include the coordinate lists, not just shell sizes")
-    common(p, genus=False, trace=False)
     p.set_defaults(func=cmd_lattice_enum)
 
     p = sub.add_parser("theta-coeffs", help="exact theta Fourier coefficients")
     p.add_argument("--lattice", required=True)
-    common(p)
+    counts(p)
     p.set_defaults(func=cmd_theta_coeffs)
 
     p = sub.add_parser("siegel-phi",
                        help="apply the Siegel operator to an expansion file")
     p.add_argument("--input", required=True, help="expansion JSON ('-' stdin)")
-    common(p, genus=False, trace=False)
     p.set_defaults(func=cmd_siegel_phi)
 
     p = sub.add_parser("schottky-verify",
                        help="check vanishing (g <= 3) or locate the first "
                             "nonzero coefficient (g >= 4)")
-    common(p)
+    counts(p)
     p.set_defaults(func=cmd_schottky_verify)
 
     p = sub.add_parser("eval",
@@ -247,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help="norm budget of the direct sum (default 2*max_trace+4)")
     p.add_argument("--tolerance", type=float, default=1e-8)
-    common(p)
+    counts(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("fay-check",
@@ -257,14 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", default="E8",
                    help="theta series used as the test form (default E8)")
     p.add_argument("--max-trace", type=int, default=None)
-    common(p, genus=False, trace=False)
+    counts(p, genus=False, trace=False)
     p.set_defaults(func=cmd_fay_check)
 
     p = sub.add_parser("cache-stats", help="cache statistics and spot checks")
     p.add_argument("--verify-cache", action="store_true",
                    help="recompute a random sample of cached counts")
     p.add_argument("--fraction", type=float, default=0.01)
-    common(p, genus=False, trace=False)
+    counts(p, genus=False, trace=False)
     p.set_defaults(func=cmd_cache_stats)
 
     return top
@@ -273,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code, doc = args.func(args, cache_from_env(args.cache))
+        cache = cache_from_env(args.cache) if "cache" in args else None
+        code, doc = args.func(args, cache)
         doc["command"] = args.command
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
     except SystemExit:

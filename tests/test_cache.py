@@ -38,6 +38,7 @@ def test_corrupt_lines_skipped_with_warning(tmp_path, caplog):
     cache.put("E8", index_key(1, [2]), 240)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("this is not json\n")
+        fh.write("\n")                              # blank: not corrupt
         fh.write('{"lattice_id": "E8"}\n')          # missing fields
         # fields of the wrong type, and counts that are not ASCII digits
         fh.write('{"count":"1","engine_version":"1","index_key":"x",'

@@ -224,7 +224,8 @@ def test_eval_two_paths(capsys):
     jsonschema.validate(doc, load_schema("verification-report.schema.json"))
 
 
-def test_eval_refuses_a_bad_budget_before_counting(capsys, tmp_path):
+def test_eval_refuses_a_bad_budget_before_counting(capsys, tmp_path,
+                                                   monkeypatch):
     for budget in ("5", "-2"):
         path = tmp_path / f"budget{budget}.jsonl"
         code, doc = run(capsys, "eval", "--lattice", "E8", "--genus", "2",
@@ -233,6 +234,18 @@ def test_eval_refuses_a_bad_budget_before_counting(capsys, tmp_path):
         assert code == 2 and doc.keys() == {"error"}, doc
         assert "norm_budget" in doc["error"]
         assert not path.exists()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eval reached the direct sum")
+
+    # an odd trace is the index table's to refuse, before the direct sum
+    monkeypatch.setattr(cli, "theta_eval", forbidden)
+    path = tmp_path / "trace5.jsonl"
+    code, doc = run(capsys, "eval", "--lattice", "E8", "--genus", "2",
+                    "--max-trace", "5", "--tau", "1.2i", "--cache", str(path))
+    assert code == 2 and doc.keys() == {"error"}, doc
+    assert "max_trace must be an even integer" in doc["error"]
+    assert not path.exists()
 
 
 def test_fay_check_subcommand(capsys, tmp_path, monkeypatch):
@@ -392,6 +405,10 @@ def test_every_subcommand_writes_one_stamped_line(capsys, tmp_path,
     (tmp_path / "expansion.json").write_text(json.dumps(expansion))
     (tmp_path / "degeneration.json").write_text(json.dumps(
         {"genus": 1, "tau": [[[0.0, 1.3]]], "v_a": [0.1], "v_b": [0.2]}))
+    if argv[0] in ("lattice-enum", "siegel-phi"):
+        # neither counts, so neither opens the cache: a directory named as
+        # the cache file is never read
+        monkeypatch.setenv(ENV_CACHE_PATH, str(tmp_path))
     code = main(argv)
     out = capsys.readouterr().out
     assert code == 0
@@ -423,19 +440,27 @@ def test_rejected_options_exit_2_with_an_error_document(capsys):
     assert "invalid int value" in doc["error"]
     doc = _error_line(capsys, ["lattice-enum", "--lattice", "E7",
                                "--max-norm", "2"])
-    assert "unknown lattice id 'E7'" in doc["error"]
+    assert doc["error"] == "UnsupportedLatticeError: unknown lattice id 'E7'"
+    # only the subcommands that count take --cache
+    for argv in (["lattice-enum", "--lattice", "E8", "--max-norm", "2"],
+                 ["siegel-phi", "--input", "expansion.json"]):
+        doc = _error_line(capsys, argv + ["--cache", "c.jsonl"])
+        assert "unrecognized arguments: --cache c.jsonl" in doc["error"]
 
 
 @pytest.mark.parametrize("argv", [
     ["lattice-enum", "--lattice", "E8", "--max-norm", str(2 ** 62),
      "--vectors"],
     ["eval", "--lattice", "E8", "--genus", "1", "--max-trace", "2",
-     "--budget", str(2 ** 62), "--tau", "1.2i"],
+     "--budget", str(2 ** 62), "--tau", "1.2i", "--cache", "int64.jsonl"],
 ], ids=["lattice-enum", "eval"])
-def test_walks_past_int64_exit_2_with_an_error_document(capsys, argv):
+def test_walks_past_int64_exit_2_with_an_error_document(capsys, tmp_path,
+                                                       monkeypatch, argv):
     # E8 to norm 2**62 could carry 4 * 2**62 in the walk: refused before it
-    # starts, as an input error
+    # starts, as an input error, and eval refuses it before the first count
+    monkeypatch.chdir(tmp_path)
     assert "int64" in _error_line(capsys, argv)["error"]
+    assert not (tmp_path / "int64.jsonl").exists()
 
 
 def test_help_exits_0_with_its_text(capsys):

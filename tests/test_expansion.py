@@ -83,7 +83,7 @@ def test_siegel_operator_linearity(theta2, e8):
 def test_serialization_round_trip(theta2):
     text = theta2.dumps()
     back = FourierExpansion.loads(text)
-    assert back == theta2
+    assert back == theta2 and hash(back) == hash(theta2)
     doc = json.loads(text)
     jsonschema.validate(doc, load_schema("fourier-expansion.schema.json"))
     assert doc["entries"] == sorted(

@@ -355,6 +355,10 @@ def test_enumeration_matches_reference(name, max_norm):
 def test_enumeration_blocks_match_reference(monkeypatch):
     # blocks of 3 prefixes: every level is cut many times (D16+ into over
     # ten thousand blocks) and the zero prefix must stay in row 0
+    e8 = lattice_by_id("E8")
+    reps, _ = shell_orbits(e8, 2)
+    roots = short_vector_shells(e8, 2)[2][reps]
+    tags = _tag_histograms(e8.gram_array, roots, 2, 6)
     monkeypatch.setattr(lattices, "_WALK_ROWS", 3)
     for name, max_norm in [("E8", 6), ("D16plus", 4)]:
         gram = lattice_by_id(name).gram_array
@@ -362,6 +366,9 @@ def test_enumeration_blocks_match_reference(monkeypatch):
         _assert_same_arrays(_enumerate_array(gram, max_norm), want)
         assert _shell_counts(gram, max_norm) == {
             m: int((want[1] == m).sum()) for m in range(0, max_norm + 1, 2)}
+    # 36 of the E8 norm-6 walk's last-level blocks hold no vector of norm 6:
+    # the tag walk skips them
+    assert np.array_equal(_tag_histograms(e8.gram_array, roots, 2, 6), tags)
 
 
 @pytest.mark.parametrize("seed", range(6))
