@@ -18,9 +18,8 @@ from .cache import ENGINE_VERSION, ENV_CACHE_PATH, CountCache, cache_from_env
 from .counting import CountEngine
 from .expansion import (DerivativePolynomial, DomainError, EvalResult,
                         FourierExpansion, IncompatibleExpansionError,
-                        LimitReport, SiegelPoint, TruncationError,
-                        apply_derivative, evaluate, siegel_limit_check,
-                        siegel_operator, zero_expansion)
+                        SiegelPoint, TruncationError, apply_derivative,
+                        evaluate, siegel_limit_check, siegel_operator)
 from .fay import (DegenerationData, coefficient_A, coefficient_B,
                   derivative_identity_check, fay_check,
                   period_matrix_first_order, scaling_law_check, sigma_matrix)
@@ -40,7 +39,7 @@ __all__ = [
     "CountCache", "CountEngine", "DegenerationData", "DerivativePolynomial",
     "DomainError", "ENGINE_VERSION", "ENV_CACHE_PATH", "EvalResult",
     "FourierExpansion", "IncompatibleExpansionError", "Lattice",
-    "LatticeError", "LimitReport", "SiegelPoint",
+    "LatticeError", "SiegelPoint",
     "TruncationError", "UnsupportedLatticeError", "apply_derivative",
     "border_zero_forced", "cache_from_env",
     "canonical_signed_perm", "coefficient_A", "coefficient_B",
@@ -52,5 +51,4 @@ __all__ = [
     "shell_sizes", "short_vector_shells", "siegel_limit_check",
     "siegel_operator", "sigma_matrix", "theta_eval", "theta_expansion",
     "upper_triangle", "validate_index", "verify_vanishing",
-    "zero_expansion",
 ]

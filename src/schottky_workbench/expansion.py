@@ -6,8 +6,10 @@ of trace <= max_trace, so "known zero" and "beyond truncation" stay distinct.
 It holds the shared index table of (genus, max_trace) plus one aligned
 column of exact coefficients, so arithmetic, the Siegel operator and the
 numerical sums are array operations over the table.
-Derivative prefactors (pi*i)^d are carried symbolically as an integer power
-and only materialized at evaluation time.
+Derivative prefactors (pi*i)^d are carried symbolically as an integer power,
+which evaluation reports as `prefactor_power` and never folds into a value.
+The numerical checks, here the Siegel limit and in `fay` the degeneration
+checks, each return one CheckReport.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import operator
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -135,13 +137,31 @@ class EvalResult:
     tail_estimate: float
     prefactor_power: int = 0
 
-    @property
-    def prefactor(self) -> complex:
-        return (1j * math.pi) ** self.prefactor_power
 
-    @property
-    def value_with_prefactor(self) -> complex:
-        return self.value * self.prefactor
+@dataclass(frozen=True)
+class CheckReport:
+    """Outcome of one numerical identity check."""
+
+    name: str
+    passed: bool
+    abs_error: float
+    rel_error: float
+    tolerance: float
+    details: dict = field(default_factory=dict)
+
+    def to_json(self) -> dict:
+        return {
+            "name": self.name,
+            "status": "pass" if self.passed else "fail",
+            "abs_error": self.abs_error,
+            "rel_error": self.rel_error,
+            "tolerance": self.tolerance,
+            "details": self.details,
+        }
+
+
+def _pair(z: complex):
+    return [z.real, z.imag]
 
 
 class FourierExpansion:
@@ -301,10 +321,6 @@ class FourierExpansion:
         return cls.from_json(json.loads(text))
 
 
-def zero_expansion(g: int, weight: int, max_trace: int) -> FourierExpansion:
-    return FourierExpansion(g, weight, max_trace, {})
-
-
 def siegel_operator(f: FourierExpansion) -> FourierExpansion:
     """Drop one genus: the new coefficient at S1 is the old one at S1 + [0].
 
@@ -344,10 +360,6 @@ class DerivativePolynomial:
         if not self.terms:
             return 0
         return max(sum(e for _, e in mono) for mono in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e for _, e in m) for m in self.terms}
-        return len(degs) <= 1
 
     @classmethod
     def constant(cls, g: int, c=1) -> "DerivativePolynomial":
@@ -449,40 +461,39 @@ def evaluate(f: FourierExpansion, point: SiegelPoint,
                       prefactor_power=f.prefactor_power)
 
 
-@dataclass(frozen=True)
-class LimitReport:
-    """Convergence of F(tau (+) i t) toward (Phi F)(tau) as t grows."""
-
-    t_values: tuple
-    deviations: tuple
-    limit: complex
-    tolerance: float
-    passed: bool
-
-
-def _limit_deviations(f: FourierExpansion, point: SiegelPoint, path,
-                      precision: int = None):
-    """(Phi F)(tau) at the genus-(g-1) point tau, and |F(p) - (Phi F)(tau)|
-    at each genus-g point p of `path`, both with `evaluate`'s precision."""
+def _limit_report(name: str, f: FourierExpansion, point: SiegelPoint,
+                  t_values, path, tolerance: float, relative: bool = False,
+                  precision: int = None) -> CheckReport:
+    """Convergence of F toward its limit (Phi F)(tau) at the genus-(g-1)
+    point tau, along the genus-g points of `path`, one per t value, all
+    evaluated with `evaluate`'s precision.  abs_error is the deviation
+    |F(p) - (Phi F)(tau)| at the last point and rel_error is that over
+    max(|(Phi F)(tau)|, 1).  The check passes when rel_error, if
+    `relative`, or else abs_error is at most `tolerance`."""
     target = evaluate(siegel_operator(f), point, precision=precision).value
-    return target, [abs(evaluate(f, p, precision=precision).value - target)
-                    for p in path]
+    devs = [float(abs(evaluate(f, p, precision=precision).value - target))
+            for p in path]
+    limit = complex(target)
+    rel = devs[-1] / max(abs(limit), 1.0)
+    return CheckReport(
+        name=name, passed=(rel if relative else devs[-1]) <= tolerance,
+        abs_error=devs[-1], rel_error=rel, tolerance=tolerance,
+        details={"t_values": list(t_values), "deviations": devs,
+                 "limit": _pair(limit)})
 
 
 def siegel_limit_check(f: FourierExpansion, point: SiegelPoint, t_values,
                        tolerance: float = 1e-12,
-                       precision: int = None) -> LimitReport:
+                       precision: int = None) -> CheckReport:
     """Evaluate F at tau (+) i*t for increasing t and compare with the
-    Fourier-side Siegel operator."""
+    Fourier-side Siegel operator: the "siegel-limit" check passes when the
+    deviation at the last t is at most `tolerance`."""
     if point.g != f.g - 1:
         raise IncompatibleExpansionError("point genus must be f.g - 1")
-    if any(t <= 0 for t in t_values):
-        raise DomainError("t values must be positive")
-    target, devs = _limit_deviations(
-        f, point, [point.direct_sum(SiegelPoint.scalar(1, 1j * t))
-                   for t in t_values], precision)
-    passed = bool(devs and float(devs[-1]) <= tolerance)
-    return LimitReport(t_values=tuple(t_values),
-                       deviations=tuple(float(d) for d in devs),
-                       limit=complex(target), tolerance=tolerance,
-                       passed=passed)
+    t_values = tuple(t_values)
+    if not t_values or any(t <= 0 for t in t_values):
+        raise DomainError("t_values must be nonempty and positive")
+    path = [point.direct_sum(SiegelPoint.scalar(1, 1j * t))
+            for t in t_values]
+    return _limit_report("siegel-limit", f, point, t_values, path, tolerance,
+                         precision=precision)

@@ -12,31 +12,30 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .expansion import (DerivativePolynomial, DomainError, FourierExpansion,
-                        IncompatibleExpansionError, SiegelPoint, _is_int,
-                        _limit_deviations, _tr_products, apply_derivative,
-                        evaluate, json_complex, siegel_operator)
+from .expansion import (CheckReport, DerivativePolynomial, DomainError,
+                        FourierExpansion, IncompatibleExpansionError,
+                        SiegelPoint, _is_int, _limit_report, _pair,
+                        _tr_products, apply_derivative, evaluate,
+                        json_complex, siegel_operator)
 
 TWO_PI_I = 2j * math.pi
 
 # t step of the central difference in derivative_identity_check; one
 # Richardson step also takes it halved
 _DIFFERENCE_STEP = 1e-4
+# relative tolerance of the derivative identity in fay_check
+_DERIVATIVE_TOLERANCE = 1e-5
 # t and tolerance of corner_exponential_check, and the t values (toward 0)
 # and relative tolerance of degeneration_limit_check
 _CORNER_T = 1e-3
 _CORNER_TOLERANCE = 1e-9
 _LIMIT_T_VALUES = (1e-3, 1e-4, 1e-5)
 _LIMIT_TOLERANCE = 1e-2
-
-
-def _pair(z: complex):
-    return [z.real, z.imag]
 
 
 @dataclass(frozen=True)
@@ -185,28 +184,6 @@ def coefficient_B(f_next: FourierExpansion, n_next: DerivativePolynomial,
                               mats[:, :g, :g], tau.matrix))))
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one numerical identity check."""
-
-    name: str
-    passed: bool
-    abs_error: float
-    rel_error: float
-    tolerance: float
-    details: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "status": "pass" if self.passed else "fail",
-            "abs_error": self.abs_error,
-            "rel_error": self.rel_error,
-            "tolerance": self.tolerance,
-            "details": self.details,
-        }
-
-
 def _directional_derivative(f: FourierExpansion, tau: SiegelPoint,
                             sigma) -> complex:
     """Central difference in t of evaluate(f, tau + t*sigma) at t = 0, with
@@ -305,29 +282,26 @@ def degeneration_limit_check(f_next: FourierExpansion,
     the constant term of the t-expansion survives alone."""
     if f_next.g != data.g + 1:
         raise IncompatibleExpansionError("genus mismatch")
-    pms = [period_matrix_first_order(data, t) for t in _LIMIT_T_VALUES]
-    target, devs = _limit_deviations(f_next, data.tau, [
-        SiegelPoint(data.g + 1, tuple(map(tuple, pm))) for pm in pms])
-    rel = devs[-1] / max(abs(target), 1.0)
-    return CheckReport(
-        name="degeneration-limit", passed=rel <= _LIMIT_TOLERANCE,
-        abs_error=devs[-1], rel_error=rel, tolerance=_LIMIT_TOLERANCE,
-        details={"t_values": list(_LIMIT_T_VALUES), "deviations": devs,
-                 "limit": _pair(target)})
+    path = [SiegelPoint(data.g + 1,
+                        tuple(map(tuple, period_matrix_first_order(data, t))))
+            for t in _LIMIT_T_VALUES]
+    return _limit_report("degeneration-limit", f_next, data.tau,
+                         _LIMIT_T_VALUES, path, _LIMIT_TOLERANCE,
+                         relative=True)
 
 
-def fay_check(data: DegenerationData, f_next: FourierExpansion,
-              derivative_tolerance: float = 1e-5) -> dict:
+def fay_check(data: DegenerationData, f_next: FourierExpansion) -> dict:
     """Run the full battery of degeneration checks against one data set.
 
     f_next is the genus-(g+1) form: B and the limit check read it, and A,
     the derivative identity and the scaling law read its Siegel image
-    siegel_operator(f_next).  The derivative polynomial is the constant 1."""
+    siegel_operator(f_next).  The derivative polynomial is the constant 1,
+    and the derivative identity holds to _DERIVATIVE_TOLERANCE, relative."""
     g = data.g
     f = siegel_operator(f_next)
     n = DerivativePolynomial.constant(g)
     derivative = derivative_identity_check(f, n, data.tau, data.sigma,
-                                           tolerance=derivative_tolerance)
+                                           tolerance=_DERIVATIVE_TOLERANCE)
     checks = [
         corner_exponential_check(data),
         derivative,

@@ -160,9 +160,12 @@ def _expand(lo: np.ndarray, hi: np.ndarray):
 _WALK_ROWS = 1 << 12
 
 # entry budget of one block: of int64 tags in `_tag_histograms`, and of
-# inner products in the direct sum's pair histograms, whose float64 and
-# integer temporaries stay at 256 KiB each (512 KiB complex weights for
-# genus >= 3)
+# inner products in the direct sum's pair histograms.  A block is made of
+# whole rows of k entries (one fixed vector against a walk block's vectors;
+# one vector against the shorter shell of a pair), so it holds at most
+# max(_BLOCK_ENTRIES, k) entries, 8 bytes each per float64 or integer
+# temporary and 16 per complex weight (genus >= 3): 256 KiB each while
+# k <= 2**15, one row of k entries past that
 _BLOCK_ENTRIES = 1 << 15
 
 

@@ -2,7 +2,9 @@
 
 import json
 import math
+import operator
 import warnings
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -13,8 +15,7 @@ from schottky_workbench.expansion import (DerivativePolynomial, DomainError,
                                           IncompatibleExpansionError,
                                           SiegelPoint, TruncationError,
                                           apply_derivative, evaluate,
-                                          siegel_limit_check, siegel_operator,
-                                          zero_expansion)
+                                          siegel_limit_check, siegel_operator)
 from schottky_workbench.theta import theta_expansion
 
 
@@ -61,6 +62,12 @@ def test_arithmetic_and_compatibility(theta1):
     other_weight = FourierExpansion(1, 5, 8, {((0,),): 1})
     with pytest.raises(IncompatibleExpansionError):
         theta1 + other_weight
+    # equal columns, other metadata; and no expansion equals a number
+    assert FourierExpansion(1, 4, 8, theta1.column) == theta1
+    assert FourierExpansion(1, 5, 8, theta1.column) != theta1
+    assert theta1 != 240 and not theta1 == 240
+    with pytest.raises(IncompatibleExpansionError, match="point genus"):
+        evaluate(theta1, SiegelPoint.scalar(2, 1.2j))
 
 
 def test_addition_truncates_to_common_bound(e8, theta1):
@@ -75,7 +82,7 @@ def test_siegel_operator_linearity(theta2, e8):
     other = theta2.scale(2)
     assert siegel_operator(theta2 + other) == \
         siegel_operator(theta2) + siegel_operator(other)
-    assert siegel_operator(zero_expansion(2, 8, 8)).is_zero()
+    assert siegel_operator(FourierExpansion(2, 8, 8, {})).is_zero()
     with pytest.raises(IncompatibleExpansionError):
         siegel_operator(theta_expansion(e8, 1, 4))
 
@@ -94,6 +101,14 @@ def test_serialization_round_trip(theta2):
 def test_serialization_rejects_foreign_documents():
     with pytest.raises(ValueError):
         FourierExpansion.loads('{"format": "something-else", "version": 1}')
+    doc = {"format": "fourier-expansion", "version": 1, "genus": 1,
+           "weight": 4, "max_trace": 2}
+    for entry in ({"S": [2]}, {"S": [2], "a": "240", "b": "0"}, [[2], "240"]):
+        with pytest.raises(ValueError, match="is not an object of S and a"):
+            FourierExpansion.from_json(dict(doc, entries=[entry]))
+    half = FourierExpansion(1, 4, 2, {((2,),): Fraction(1, 2)})
+    with pytest.raises(ValueError, match="only integer coefficients"):
+        half.to_json()
 
 
 def test_evaluate_periodicity(theta1):
@@ -121,7 +136,15 @@ def test_derivative_polynomial_algebra():
     x11 = DerivativePolynomial.variable(2, 0, 0)
     x12 = DerivativePolynomial.variable(2, 1, 0)  # normalizes to (0, 1)
     prod = x11 * x12 + DerivativePolynomial.constant(2, 3)
-    assert prod.degree == 2 and not prod.is_homogeneous()
+    assert prod.degree == 2
+    assert DerivativePolynomial(2, {}).degree == 0
+    for bad in ((((0, 2), 1),), (((1, 0), 1),), (((0, 0), 0),)):
+        with pytest.raises(ValueError, match="bad monomial variable"):
+            DerivativePolynomial(2, {bad: 1})
+    x1 = DerivativePolynomial.variable(1, 0, 0)
+    for op in (operator.add, operator.mul):
+        with pytest.raises(ValueError, match="genus mismatch"):
+            op(x11, x1)
     assert list(prod.evaluate_rows([((2, 1), (1, 4)), ((0, 0), (0, 2))])) \
         == [2 * 1 + 3, 3]
     assert (x11 * x11).evaluate_rows([((2, 0), (0, 0))])[0] == 4
@@ -132,20 +155,38 @@ def test_apply_derivative_matches_finite_difference(theta1):
     x11 = DerivativePolynomial.variable(1, 0, 0)
     df = apply_derivative(theta1, x11)
     assert df.prefactor_power == 1
+    with pytest.raises(IncompatibleExpansionError, match="genus mismatch"):
+        apply_derivative(theta1, DerivativePolynomial.variable(2, 0, 0))
     z = 1.4j
     h = 1e-5
     fd = (evaluate(theta1, SiegelPoint.scalar(1, z + h)).value -
           evaluate(theta1, SiegelPoint.scalar(1, z - h)).value) / (2 * h)
     sym = evaluate(df, SiegelPoint.scalar(1, z))
-    assert sym.prefactor == pytest.approx(1j * math.pi)
-    assert abs(sym.value_with_prefactor - fd) < 1e-6 * abs(fd)
+    assert sym.prefactor_power == 1
+    with_prefactor = (1j * math.pi) ** sym.prefactor_power * sym.value
+    assert abs(with_prefactor - fd) < 1e-6 * abs(fd)
 
 
 def test_siegel_limit_check(theta2):
     rep = siegel_limit_check(theta2, SiegelPoint.scalar(1, 1.3j),
                              t_values=(2.0, 5.0, 10.0), tolerance=1e-12)
-    assert rep.passed
-    assert rep.deviations[0] > rep.deviations[-1]
-    with pytest.raises(DomainError):
-        siegel_limit_check(theta2, SiegelPoint.scalar(1, 1.3j),
-                           t_values=(-1.0,))
+    # any iterable of t values, read once
+    assert siegel_limit_check(theta2, SiegelPoint.scalar(1, 1.3j),
+                              t_values=iter((2.0, 5.0, 10.0)),
+                              tolerance=1e-12) == rep
+    assert rep.passed and rep.name == "siegel-limit"
+    devs = rep.details["deviations"]
+    assert devs[0] > devs[-1] == rep.abs_error
+    limit = complex(*rep.details["limit"])
+    assert rep.rel_error == rep.abs_error / max(abs(limit), 1.0)
+    # one report type with the degeneration checks: the same JSON item
+    check = load_schema("verification-report.schema.json")
+    jsonschema.validate(json.loads(json.dumps(rep.to_json())),
+                        check["properties"]["checks"]["items"])
+    for bad in ((-1.0,), ()):
+        with pytest.raises(DomainError, match="nonempty and positive"):
+            siegel_limit_check(theta2, SiegelPoint.scalar(1, 1.3j),
+                               t_values=bad)
+    with pytest.raises(IncompatibleExpansionError, match="f.g - 1"):
+        siegel_limit_check(theta2, SiegelPoint.scalar(2, 1.3j),
+                           t_values=(2.0,))

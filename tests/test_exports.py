@@ -11,3 +11,6 @@ def test_every_exported_name_resolves():
         len(schottky_workbench.__all__)
     # lattices are resolved by id only, so every caller shares one store
     assert not {"build_lattice", "e8e8"} & set(dir(schottky_workbench))
+    # the Siegel-limit check returns a CheckReport, and an empty expansion
+    # is FourierExpansion(g, weight, max_trace, {})
+    assert not {"LimitReport", "zero_expansion"} & set(dir(schottky_workbench))

@@ -11,8 +11,10 @@ import pytest
 
 from conftest import load_schema
 from schottky_workbench.expansion import (DerivativePolynomial, DomainError,
+                                          FourierExpansion,
+                                          IncompatibleExpansionError,
                                           SiegelPoint, evaluate,
-                                          zero_expansion)
+                                          siegel_operator)
 from schottky_workbench.fay import (DegenerationData, coefficient_A,
                                     coefficient_B, corner_exponential_check,
                                     degeneration_limit_check,
@@ -107,9 +109,15 @@ def test_coefficient_A_trivial_cases(theta1):
     tau = SiegelPoint.scalar(1, 1.3j)
     n = DerivativePolynomial.constant(1)
     assert coefficient_A(theta1, n, tau, np.zeros((1, 1))) == 0
-    zero = zero_expansion(1, 4, 8)
+    zero = FourierExpansion(1, 4, 8, {})
     sig = sigma_matrix((0.1,), (0.2,))
     assert coefficient_A(zero, n, tau, sig) == 0
+    n2 = DerivativePolynomial.constant(2)
+    for args in ((n2, tau), (n, SiegelPoint.scalar(2, 1.3j))):
+        with pytest.raises(IncompatibleExpansionError, match="genus"):
+            coefficient_A(theta1, *args, sig)
+    with pytest.raises(ValueError, match="sigma must be a g x g matrix"):
+        coefficient_A(theta1, n, tau, np.zeros((2, 2)))
 
 
 def test_coefficient_A_linear_in_sigma(theta1):
@@ -126,12 +134,17 @@ def test_coefficient_A_linear_in_sigma(theta1):
 def test_coefficient_B_trivial_cases(theta2):
     tau = SiegelPoint.scalar(1, 1.3j)
     n2 = DerivativePolynomial.constant(2)
-    assert coefficient_B(zero_expansion(2, 4, 8), n2, tau, (0.1,)) == 0
+    assert coefficient_B(FourierExpansion(2, 4, 8, {}), n2, tau, (0.1,)) == 0
     # support limited to corner-zero indices: empty sum
     corner_zero = {s: v for s, v in theta2.coeffs.items() if s[1][1] == 0}
-    from schottky_workbench.expansion import FourierExpansion
     f = FourierExpansion(2, 4, 8, corner_zero)
     assert coefficient_B(f, n2, tau, (0.1,)) == 0
+    n1 = DerivativePolynomial.constant(1)
+    for args in ((n1, tau), (n2, SiegelPoint.scalar(2, 1.3j))):
+        with pytest.raises(IncompatibleExpansionError, match="genus"):
+            coefficient_B(theta2, *args, (0.1,))
+    with pytest.raises(ValueError, match="aj must have length g"):
+        coefficient_B(theta2, n2, tau, (0.1, 0.2))
 
 
 def test_coefficient_B_integer_shift_periodicity(theta2):
@@ -177,6 +190,10 @@ def test_scaling_law_zero_vector(theta1):
     rep = scaling_law_check(theta1, n, tau, (0.0,), (0.2,))
     assert rep.passed
     assert rep.details["D"] == [0.0, 0.0]
+    for pair in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="lambda and mu must be nonzero"):
+            scaling_law_check(theta1, n, tau, (0.1,), (0.2,),
+                              pairs=((1, 1), pair))
 
 
 def test_degeneration_limit(data1, theta2):
@@ -184,14 +201,18 @@ def test_degeneration_limit(data1, theta2):
     assert rep.passed
     devs = rep.details["deviations"]
     assert devs[0] > devs[-1]
+    with pytest.raises(IncompatibleExpansionError, match="genus mismatch"):
+        degeneration_limit_check(siegel_operator(theta2), data1)
 
 
 def test_fay_check_full_report(data1, theta2):
-    rep = fay_check(data1, theta2, derivative_tolerance=1e-6)
+    rep = fay_check(data1, theta2)
     assert rep["status"] == "pass"
-    names = {c["name"] for c in rep["checks"]}
-    assert names == {"corner-exponential", "derivative-identity",
-                     "scaling-law", "degeneration-limit"}
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert checks.keys() == {"corner-exponential", "derivative-identity",
+                             "scaling-law", "degeneration-limit"}
+    derivative = checks["derivative-identity"]
+    assert derivative["tolerance"] == 1e-5 and derivative["rel_error"] <= 1e-6
 
 
 def test_shipped_degeneration_documents_read():
@@ -217,4 +238,7 @@ def test_degeneration_data_validation():
                          v_b=(0.2,), lambda_=0)
     with pytest.raises(ValueError):
         DegenerationData(g=2, tau=SiegelPoint.scalar(2, 1j), v_a=(0.1,),
+                         v_b=(0.2, 0.3))
+    with pytest.raises(DomainError, match="tau genus mismatch"):
+        DegenerationData(g=2, tau=SiegelPoint.scalar(1, 1j), v_a=(0.1, 0.2),
                          v_b=(0.2, 0.3))

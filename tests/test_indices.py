@@ -143,6 +143,8 @@ def test_validate_rejects_bad_matrices():
         idx.validate_index(((2, 1), (0, 2)))     # asymmetric
     with pytest.raises(idx.InvalidIndexError):
         idx.validate_index(((2, 3), (3, 2)))     # not psd
+    with pytest.raises(idx.InvalidIndexError, match="genus must be >= 1"):
+        idx.validate_index(())
 
 
 def test_border_zero_forced_exhaustive():
@@ -225,6 +227,8 @@ def test_non_integral_entries_are_refused():
             idx.validate_index(bad)
     with pytest.raises(idx.InvalidIndexError):
         idx.from_upper_triangle(1, [2.5])
+    with pytest.raises(idx.InvalidIndexError, match="wrong number"):
+        idx.from_upper_triangle(2, [2, 1])
     assert idx.validate_index(np.array([[2, 1], [1, 2]])) == ((2, 1), (1, 2))
 
 

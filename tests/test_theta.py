@@ -215,10 +215,24 @@ def test_two_path_agreement_genus1(e8):
     assert abs(series - direct) < 1e-10 * abs(series)
 
 
-def test_two_path_agreement_genus2(e8):
-    pt = SiegelPoint(2, ((0.2 + 1.1j, 0.1 + 0.2j), (0.1 + 0.2j, 1.3j)))
-    series = evaluate(theta_expansion(e8, 2, 6), pt).value
-    direct = theta_eval(e8, 2, pt, 6).value
+@pytest.mark.parametrize("g, point", [
+    (2, SiegelPoint(2, ((0.2 + 1.1j, 0.1 + 0.2j), (0.1 + 0.2j, 1.3j)))),
+    (3, TAU[3]),
+], ids=["2", "3"])
+def test_two_path_agreement_at_a_non_diagonal_tau(e8, g, point, monkeypatch):
+    # at genus 3 five classes of the trace-6 table reach the genus >= 3
+    # recursion, so the series checks _count_dfs against the direct sum
+    reached = []
+    real = counting.CountEngine._count_dfs
+
+    def spy(self, s):
+        reached.append(s)
+        return real(self, s)
+
+    monkeypatch.setattr(counting.CountEngine, "_count_dfs", spy)
+    series = evaluate(theta_expansion(e8, g, 6), point).value
+    direct = theta_eval(e8, g, point, 6).value
+    assert len(reached) == {2: 0, 3: 5}[g]
     assert abs(series - direct) < 1e-9 * abs(series)
 
 
